@@ -61,7 +61,8 @@ def test_workloads() -> None:
     for _ in range(4):
         workloads._figure_maps(keys)
         workloads._multi_plan(keys)
-    check(len(keys.used) == 4 * (2 * 3 + 2 * 6), "no (eta, e_lim, model) key repeats in a run")
+    per_cycle = 2 * workloads.MAP_ROWS + 2 + 2 * 6
+    check(len(keys.used) == 4 * per_cycle, "no (eta, e_lim, model) key repeats in a run")
 
 
 def test_checks() -> None:
@@ -94,6 +95,16 @@ def test_checks() -> None:
     )
     check(failed_points(verify, 1, table, "FAIL p2 mismatch\nFAIL p2 mismatch\n", None) == 2,
           "verify FAIL lines fail their instances")
+
+
+def test_ref_times() -> None:
+    import run
+
+    ref = run.CALIB_REF_S
+    res = {"walls": [1.0, 2.0], "calibs": [ref, ref, 3 * ref]}
+    times = run._ref_times(res)
+    check(times[0] == 1.0, "at the reference speed a reference second is a wall second")
+    check(abs(times[1] - 1.0) < 1e-12, "at half the speed, it is two wall seconds")
 
 
 def test_tracer() -> None:
@@ -184,6 +195,7 @@ def test_runs() -> None:
 if __name__ == "__main__":
     test_workloads()
     test_checks()
+    test_ref_times()
     test_tracer()
     test_runs()
     print("selftest passed")

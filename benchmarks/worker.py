@@ -5,19 +5,25 @@ package from the checkout's ``src``, parses the first invocation's arguments
 and prints ``ready``; ``run.py`` times set-up up to that line. A set-up probe
 (``--probe``) stops there. Otherwise the worker runs whole cycles of the
 workload until ``--seconds`` have passed (or exactly ``--cycles`` cycles),
-captures and checks every output, and prints one JSON result line.
+captures and checks every output, and prints one JSON result line. Before
+the first invocation and after each one it times a fixed calibration loop
+(``calibrate``), from which ``run.py`` scales wall times to reference seconds.
 
 ``--record-reference N`` runs N cycles of the default seed and writes the
 reference outputs that later runs of the default seed are compared against.
+Only the invocations the reference holds are compared; the result line says
+how many (``ref_checked``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import gzip
 import io
 import json
+import math
 import platform
 import resource
 import sys
@@ -71,6 +77,31 @@ def _versions() -> dict:
     }
 
 
+def calibrate() -> float:
+    """Seconds taken by a fixed piece of the benchmark's own work: the machine's speed now.
+
+    Scalar float math with calls, then small numpy array operations, like the
+    program's own mix. The median of three samples of about 5-10 ms each, with
+    the garbage collector off, so that the program's heap does not slow it.
+    """
+    import numpy as np
+
+    samples = []
+    a = np.linspace(0.1, 2.0, 64)
+    gc.disable()
+    for _ in range(3):
+        t0 = time.perf_counter()
+        s = 0.0
+        for i in range(1, 30000):
+            x = i * 1e-4
+            s += math.log1p(x) * x - math.sqrt(x)
+        for _ in range(400):
+            s += float(np.sum(np.log(a) * a))
+        samples.append(time.perf_counter() - t0)
+    gc.enable()
+    return sorted(samples)[1]
+
+
 def _call(cli, argv) -> tuple[int | None, str, str, float]:
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
@@ -114,13 +145,15 @@ def main(argv=None) -> int:
         tracer.install()
 
     limit = args.record if args.record is not None else args.cycles
-    walls, points, failed, output_bytes, done = [], 0, 0, 0, 0
+    walls, calibs, points, failed, output_bytes, done, ref_checked = [], [], 0, 0, 0, 0, 0
     recorded, failures = [], []
     index = 0
     start = time.perf_counter()
+    calibs.append(calibrate())
     while True:
         for inv in cycle:
             rc, out, err, dt = _call(cli, inv.argv)
+            calibs.append(calibrate())
             walls.append(dt)
             output_bytes += len(out.encode())
             ref = None
@@ -128,6 +161,7 @@ def main(argv=None) -> int:
                 # A stale reference (other argv) makes every point of the call fail.
                 same = reference[index]["argv"] == list(inv.argv)
                 ref = reference[index]["stdout"] if same else ""
+                ref_checked += 1
             bad = workloads.failed_points(inv, rc, out, err, ref)
             points += inv.points
             failed += bad
@@ -149,7 +183,9 @@ def main(argv=None) -> int:
         "cycles": done,
         "points": points,
         "failed": failed,
+        "ref_checked": ref_checked,
         "walls": walls,
+        "calibs": calibs,
         "failures": failures,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "threads": _threads(),

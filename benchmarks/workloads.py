@@ -41,13 +41,16 @@ THETA = "theta-log-theta"
 POWER = "power-law:c=1,p=2"
 
 DEFAULT_SEED = 1
-MAP_ROWS = 2
-MAP_COLS = 8
-SWEEP_SINGLE_ROWS = 16
+# A map row has 40 e_avg cells and a sweep-single 49 points, as in the 40x40
+# region map and the 49-point sweep that ROADMAP names as the traffic. A map
+# invocation is one row, so that it takes about as long as a sweep-single and
+# the median invocation does not jump between two size clusters.
+MAP_ROWS = 1
+MAP_COLS = 40
+SWEEP_SINGLE_ROWS = 49
 SWEEP_MULTI_ROWS = 6
 SWEEP_MULTI_BLOCKS = 4
 VERIFY_POINTS = 20 + 10 + 20 + 10  # instances of the four checks at --instances 20
-STRATA = 8
 BOUND_TOL = 1e-8
 REF_REL_TOL = 1e-9
 
@@ -71,40 +74,24 @@ def _f(x: float) -> str:
 
 
 class _Keys:
-    """Draws the parameters of one run.
-
-    Each named parameter is drawn stratified: every block of STRATA draws
-    takes one value from each of STRATA equal slices of its range, in a
-    seeded order. So every seed covers the parameter space alike, and runs
-    with different seeds differ less than with plain uniform draws. The
-    (eta, e_lim, model) keys drawn are unique within the run.
-    """
+    """Draws the parameters of one run, keeping its (eta, e_lim, model) keys unique."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.used: set[tuple[float, float, str]] = set()
-        self._slices: dict[str, list[int]] = {}
 
-    def draw(self, name: str, lo: float, hi: float) -> float:
-        slices = self._slices.setdefault(name, [])
-        if not slices:
-            slices.extend(range(STRATA))
-            self.rng.shuffle(slices)
-        k = slices.pop()
-        return lo + (hi - lo) * (k + self.rng.random()) / STRATA
-
-    def eta(self, kind: str, e_lims: list[float], model: str) -> float:
+    def eta(self, e_lims: list[float], model: str) -> float:
         while True:
-            eta = self.draw(f"{kind}.eta", 0.3, 1.0)
+            eta = self.rng.uniform(0.3, 1.0)
             keys = {(eta, e_lim, model) for e_lim in e_lims}
             if not keys & self.used:
                 self.used |= keys
                 return eta
 
 
-def _e_avg_range(keys: _Keys, kind: str, e_lim: float) -> tuple[float, float]:
-    lo = e_lim * keys.draw(f"{kind}.e_avg_lo", 0.02, 0.1)
-    return lo, e_lim * keys.draw(f"{kind}.e_avg_hi", 0.8, 0.95)
+def _e_avg_range(keys: _Keys, e_lim: float) -> tuple[float, float]:
+    lo = e_lim * keys.rng.uniform(0.02, 0.1)
+    return lo, e_lim * keys.rng.uniform(0.8, 0.95)
 
 
 def _sweep(var: str, lo: float, step: float, count: int) -> str:
@@ -113,11 +100,11 @@ def _sweep(var: str, lo: float, step: float, count: int) -> str:
 
 
 def _region_map(keys: _Keys, model: str) -> Invocation:
-    e_lim0 = keys.draw("map.e_lim", 1.0, 6.0)
-    d_lim = keys.draw("map.d_lim", 0.25, 1.0)
-    eta = keys.eta("map", [e_lim0 + d_lim * r for r in range(MAP_ROWS)], model)
-    lo, hi = _e_avg_range(keys, "map", e_lim0)
-    g = eta * lo * keys.draw("map.g", 0.0, 1.0)  # every cell valid: eta * e_avg >= g, e_avg < e_lim
+    e_lim0 = keys.rng.uniform(1.0, 6.0)
+    d_lim = keys.rng.uniform(0.25, 1.0)
+    eta = keys.eta([e_lim0 + d_lim * r for r in range(MAP_ROWS)], model)
+    lo, hi = _e_avg_range(keys, e_lim0)
+    g = eta * lo * keys.rng.uniform(0.0, 1.0)  # every cell valid: eta * e_avg >= g, e_avg < e_lim
     argv = (
         "region-map", "--eta", _f(eta), "--g", _f(g), "--ed-model", model,
         "--sweep", _sweep("e_lim", e_lim0, d_lim, MAP_ROWS),
@@ -127,10 +114,10 @@ def _region_map(keys: _Keys, model: str) -> Invocation:
 
 
 def _sweep_single(keys: _Keys, model: str) -> Invocation:
-    e_lim = keys.draw("sweep.e_lim", 1.0, 7.0)
-    eta = keys.eta("sweep", [e_lim], model)
-    lo, hi = _e_avg_range(keys, "sweep", e_lim)
-    g = eta * lo * keys.draw("sweep.g", 0.0, 1.0)
+    e_lim = keys.rng.uniform(1.0, 7.0)
+    eta = keys.eta([e_lim], model)
+    lo, hi = _e_avg_range(keys, e_lim)
+    g = eta * lo * keys.rng.uniform(0.0, 1.0)
     n = SWEEP_SINGLE_ROWS
     argv = (
         "sweep-single", "--eta", _f(eta), "--g", _f(g), "--e-lim", _f(e_lim),
@@ -140,10 +127,9 @@ def _sweep_single(keys: _Keys, model: str) -> Invocation:
 
 
 def _solve_multi(keys: _Keys, model: str, blocks: int) -> Invocation:
-    kind = f"solve{blocks}"
-    e_lim = keys.draw(f"{kind}.e_lim", 1.0, 8.0)
-    eta = keys.eta(kind, [e_lim], model)
-    e_avg = e_lim * keys.draw(f"{kind}.e_avg", 0.1, 0.9)
+    e_lim = keys.rng.uniform(1.0, 8.0)
+    eta = keys.eta([e_lim], model)
+    e_avg = e_lim * keys.rng.uniform(0.1, 0.9)
     g_list = ",".join(_f(eta * e_avg * keys.rng.random()) for _ in range(blocks))
     argv = (
         "solve-multi", "--eta", _f(eta), "--e-avg", _f(e_avg), "--e-lim", _f(e_lim),
@@ -153,11 +139,11 @@ def _solve_multi(keys: _Keys, model: str, blocks: int) -> Invocation:
 
 
 def _sweep_multi(keys: _Keys, model: str) -> Invocation:
-    e_lim = keys.draw("multi.e_lim", 1.0, 8.0)
-    eta = keys.eta("multi", [e_lim], model)
-    lo = e_lim * keys.draw("multi.e_avg_lo", 0.05, 0.15)
-    hi = e_lim * keys.draw("multi.e_avg_hi", 0.85, 0.95)
-    g = eta * lo * keys.draw("multi.g", 0.0, 1.0)
+    e_lim = keys.rng.uniform(1.0, 8.0)
+    eta = keys.eta([e_lim], model)
+    lo = e_lim * keys.rng.uniform(0.05, 0.15)
+    hi = e_lim * keys.rng.uniform(0.85, 0.95)
+    g = eta * lo * keys.rng.uniform(0.0, 1.0)
     n = SWEEP_MULTI_ROWS
     argv = (
         "sweep-multi", "--eta", _f(eta), "--g", _f(g), "--e-lim", _f(e_lim),
