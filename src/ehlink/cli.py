@@ -3,16 +3,14 @@
 All commands emit CSV with ``#``-prefixed ``key=value`` metadata lines before
 the header.  Output is deterministic for a fixed flag set and seed: floats
 are printed with 12 significant digits, period decimal separator, and rows
-follow grid order regardless of how the solves were scheduled.
+follow grid order.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,19 +34,6 @@ def _emit(lines: list[str], out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, optionally with EH_OPT_THREADS workers.
-
-    Results are returned in input order either way, so CSV output stays
-    deterministic.
-    """
-    workers = int(os.environ.get("EH_OPT_THREADS", "0") or "0")
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -185,7 +170,7 @@ def cmd_sweep_single(args) -> int:
         )
         return full.bits_per_use, baseline.bits_per_use, ratio
 
-    rows = _map_ordered(solve, list(sweeps["e_avg"]))
+    rows = [solve(e_avg) for e_avg in sweeps["e_avg"]]
     lines = _meta(
         {"eta": args.eta, "g": args.g, "e_lim": args.e_lim, "model": model.name}
     )
@@ -233,7 +218,7 @@ def cmd_region_map(args) -> int:
         p = _params(args, e_avg=e_avg, e_lim=e_lim)
         return _case_margins(p, model)
 
-    rows = _map_ordered(classify, points)
+    rows = [classify(point) for point in points]
     lines = _meta({"eta": args.eta, "g": args.g, "model": model.name})
     lines.append("e_lim,e_avg,case,margin")
     for (e_lim, e_avg), (case, margin) in zip(points, rows):
@@ -256,7 +241,7 @@ def cmd_sweep_multi(args) -> int:
         u = multi_block.threshold_u(p, model, args.g)
         return sol.bound, sol.total_bits_per_use, sol.bound_achieved, u
 
-    rows = _map_ordered(solve, list(sweeps["e_avg"]))
+    rows = [solve(e_avg) for e_avg in sweeps["e_avg"]]
     lines = _meta(
         {
             "eta": args.eta,

@@ -75,6 +75,8 @@ class MultiBlockProblem:
         if len(self.g_list) < 1:
             raise ValueError("need at least one block")
         for g in self.g_list:
+            if not math.isfinite(g):
+                raise ValueError(f"per-block g must be finite, got {g!r}")
             if g < 0:
                 raise ValueError("per-block g must be >= 0")
             if self.params.eta * self.params.e_avg - g < -1e-12:
@@ -114,22 +116,16 @@ def o_tilde(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) ->
     return (theta - 1.0) / theta * capacity(e_i) / denom
 
 
-def solve_p8(
-    p: SystemParams,
-    m: DecoderEnergyModel,
-    ab_pairs: list[tuple[float, float, Case]] | None = None,
-) -> tuple[float, float]:
+def solve_p8(p: SystemParams, m: DecoderEnergyModel) -> tuple[float, float]:
     """Maximizer (theta_dot, e_dot) of o_tilde over the box constraints only.
 
     Solved from the case (a)/(b) candidates; the boundary family (c) does not
     apply because the box has no coupled constraint.  Independent of e_avg
     and g by inspection of o_tilde.
     """
-    if ab_pairs is None:
-        ab_pairs = case_ab_pairs(p, m)
     # Interior stationary pairs outside the box are not P8-feasible; the box
     # optimum is then on the e_i = e_lim edge, which case (b) supplies.
-    in_box = [pair for pair in ab_pairs if pair[1] <= p.e_lim + 1e-9]
+    in_box = [pair for pair in case_ab_pairs(p, m) if pair[1] <= p.e_lim + 1e-9]
     best = max(in_box, key=lambda pair: o_tilde(pair[0], pair[1], p, m))
     return best[0], best[1]
 
@@ -300,8 +296,7 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     """
     p, m = prob.params, prob.model
     n = prob.n_blocks
-    ab = case_ab_pairs(p, m)
-    p8 = solve_p8(p, m, ab)
+    p8 = solve_p8(p, m)
     gdot = g_dot(p, m, p8)
     bound = sum(p.eta * p.e_avg - g for g in prob.g_list) * o_tilde(p8[0], p8[1], p, m)
     condition = theorem2_condition(prob, gdot)
@@ -318,7 +313,7 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
         total = 0.0
         for i in range(n):
             p_i = _effective_params(p, prob.g_list[i] + transfers[i])
-            cand, full = algorithm1(p_i, m, ab_pairs=ab)
+            cand, full = algorithm1(p_i, m)
             blocks.append((p_i, cand, full))
             total += cand.objective
         if total < prev_total - 1e-9:

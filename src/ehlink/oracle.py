@@ -2,7 +2,9 @@
 
 Dense grid search for the single-block problem and the normalized box
 problem, plus exhaustive vertex enumeration for the transfer LP.  These are
-deliberately slow-and-simple; they exist to certify the fast solvers.
+deliberately slow-and-simple; they exist to certify the fast solvers, so they
+state the objective and the transfer polytope themselves and call no solver
+code (only its data classes are imported).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .channel import capacity
 from .decoder_energy import DecoderEnergyModel, inverse_energy
-from .multi_block import MultiBlockProblem, TransferSchedule, _lp_constraints, o_tilde
+from .multi_block import MultiBlockProblem, TransferSchedule
 from .single_block import SystemParams
 
 __all__ = [
@@ -102,6 +104,41 @@ def grid_search_p8(
     return float(theta_grid[i]), float(e_grid[j]), float(obj[i, j])
 
 
+def _transfer_polytope(prob: MultiBlockProblem, thetas, e_is):
+    """Inequality system A T <= b over the transfers T, in three row groups.
+
+    1. Energy cannot be borrowed from later blocks: T_1 + ... + T_k >= 0.
+    2. A block cannot bank more than its net harvest: T_i <= eta*e_avg - g_i.
+    3. Block i's fixed pair stays feasible at overhead g_i + T_i.  Its
+       single-block feasibility condition
+       E(theta_i)*(e_lim - e_avg) + (eta*e_lim - g_i - T_i)*e_i
+           >= (eta*e_avg - g_i - T_i)*e_lim
+       is linear in T_i with coefficient e_lim - e_i, and vacuous when
+       e_i = e_lim.
+    """
+    p, m = prob.params, prob.model
+    n = prob.n_blocks
+    prefix = np.tril(np.full((n, n), -1.0))
+    rows = [prefix, np.eye(n)]
+    rhs = [np.zeros(n), p.eta * p.e_avg - np.array(prob.g_list)]
+    for i in range(n):
+        gap = p.e_lim - e_is[i]
+        if gap <= 1e-12 * p.e_lim:
+            continue
+        # (e_lim - e_i) * T_i >= lower, rearranged from the condition above.
+        lower = (
+            p.eta * p.e_avg * p.e_lim
+            - p.eta * p.e_lim * e_is[i]
+            - prob.g_list[i] * gap
+            - m.evaluate(thetas[i]) * (p.e_lim - p.e_avg)
+        )
+        row = np.zeros((1, n))
+        row[0, i] = -gap
+        rows.append(row)
+        rhs.append(np.array([-lower]))
+    return np.vstack(rows), np.concatenate(rhs)
+
+
 def enumerate_lp_vertices(
     prob: MultiBlockProblem, thetas, e_is
 ) -> tuple[str, TransferSchedule | None]:
@@ -116,8 +153,13 @@ def enumerate_lp_vertices(
     if n > 4:
         raise ValueError("vertex enumeration limited to N <= 4")
     p, m = prob.params, prob.model
-    cost = np.array([o_tilde(thetas[i], e_is[i], p, m) for i in range(n)])
-    a_ub, b_ub = _lp_constraints(prob, thetas, e_is)
+    # Cost: each block's normalized objective (budget 1), the diagonal of the
+    # grid objective over the block pairs.
+    obj, _ = _objective_matrix(
+        np.asarray(thetas, dtype=float), np.asarray(e_is, dtype=float), 1.0, p, m
+    )
+    cost = obj.diagonal()
+    a_ub, b_ub = _transfer_polytope(prob, thetas, e_is)
     vertices = []
     for rows in combinations(range(len(b_ub)), n):
         a = a_ub[list(rows)]

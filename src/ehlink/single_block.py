@@ -16,6 +16,7 @@ points, and returns the best one together with the recovered full solution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,6 +56,9 @@ _FIXED_POINT_TOL = 1e-9
 _DEDUP_TOL = 1e-6
 _MAX_ALTERNATIONS = 500
 _N_STARTS = 16
+# Distinct (eta, e_lim, model) keys kept by the case (a)/(b) memo: a 40-row
+# region map (one e_lim per row) fits with room to spare.
+_AB_CACHE_SIZE = 64
 
 
 class SolverError(RuntimeError):
@@ -92,6 +96,10 @@ class SystemParams:
     n: int = 1
 
     def __post_init__(self):
+        for name in ("eta", "g", "e_avg", "e_lim"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must be in (0, 1]")
         if not (0.0 <= self.e_avg < self.e_lim):
@@ -231,11 +239,26 @@ def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, f
     """All case (a) stationary pairs plus the case (b) pair.
 
     Depends only on eta, e_lim, and the energy model (not on e_avg or g), so
-    the result can be shared across the blocks of a multi-block problem.
+    the pairs are solved once per (eta, e_lim, model) and shared by every
+    caller: the blocks of a multi-block problem, the points of a sweep, the
+    cells of a region-map row.  The model is keyed by identity of its
+    functions, so two models that merely share a name never share pairs.
+    Each call returns a fresh list.
     Case (a) pairs come from alternating the unconstrained M- and N-roots to
     a fixed point from 16 log-spaced starting energies; non-converging starts
     are discarded.
     """
+    return list(_case_ab_pairs(p.eta, p.e_lim, m))
+
+
+# typed=True keeps e.g. e_lim=3 and e_lim=3.0 apart, so the case (b) pair
+# carries the caller's own e_lim value, exactly as an uncached solve would.
+@functools.lru_cache(maxsize=_AB_CACHE_SIZE, typed=True)
+def _case_ab_pairs(
+    eta: float, e_lim: float, m: DecoderEnergyModel
+) -> tuple[tuple[float, float, Case], ...]:
+    # The root finders read only eta and e_lim from p.
+    p = SystemParams(eta=eta, g=0.0, e_avg=0.0, e_lim=e_lim)
     pairs: list[tuple[float, float]] = []
     seeds = np.geomspace(1e-3 * p.e_lim, p.e_lim, _N_STARTS)
     for seed in seeds:
@@ -263,7 +286,7 @@ def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, f
             pairs.append((theta, e))
     out = [(t, e, Case.TRADE_OFF) for t, e in pairs]
     out.append((_theta_star(p.e_lim, p, m), p.e_lim, Case.MAX_INFO_POWER))
-    return out
+    return tuple(out)
 
 
 def solve_case_a(p: SystemParams, m: DecoderEnergyModel) -> list[CandidateSolution]:
@@ -361,22 +384,18 @@ def _zero_solution(p: SystemParams) -> tuple[CandidateSolution, FullSolution]:
 
 
 def algorithm1(
-    p: SystemParams,
-    m: DecoderEnergyModel,
-    ab_pairs: list[tuple[float, float, Case]] | None = None,
+    p: SystemParams, m: DecoderEnergyModel
 ) -> tuple[CandidateSolution, FullSolution]:
     """Globally optimal single-block solution.
 
     Enumerates case (a)/(b)/(c) candidates, keeps the feasible ones, and
     returns the objective maximizer with its recovered full solution.
-    `ab_pairs` lets callers reuse the e_avg/g-independent case (a)/(b) roots.
     """
     if p.budget <= 0.0:
         return _zero_solution(p)
-    if ab_pairs is None:
-        ab_pairs = case_ab_pairs(p, m)
     candidates = [
-        CandidateSolution(t, e, c, objective(t, e, p, m)) for t, e, c in ab_pairs
+        CandidateSolution(t, e, c, objective(t, e, p, m))
+        for t, e, c in case_ab_pairs(p, m)
     ]
     cand_c = solve_case_c(p, m)
     if cand_c is not None:

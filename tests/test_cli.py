@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from ehlink import SystemParams, algorithm1, iterative_solver, theta_log_theta_model
+from ehlink import SystemParams, algorithm1, cli, iterative_solver, theta_log_theta_model
 from ehlink.cli import main
 from ehlink.multi_block import MultiBlockProblem
+from ehlink.single_block import _case_ab_pairs
 
 
 def run_cli(capsys, *argv):
@@ -155,16 +156,23 @@ class TestSweeps:
 
 
 class TestDeterminism:
-    def test_threaded_output_matches_serial(self, capsys, monkeypatch):
-        argv = [
-            "sweep-single", "--eta", "0.5", "--e-lim", "3.0",
-            "--sweep", "e_avg:0.2:2.0:0.2",
-        ]
-        monkeypatch.delenv("EH_OPT_THREADS", raising=False)
-        _, serial, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("EH_OPT_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *argv)
-        assert serial == threaded
+    def test_cold_and_warm_memo_print_same_csv(self, capsys, monkeypatch):
+        # One model object for both runs, so the second run hits the case
+        # (a)/(b) memo for every key instead of solving for a fresh model.
+        model = theta_log_theta_model()
+        monkeypatch.setattr(cli, "parse_model", lambda spec: model)
+        for argv in (
+            ["sweep-single", "--eta", "0.5", "--e-lim", "3.0",
+             "--sweep", "e_avg:0.2:2.0:0.2"],
+            ["region-map", "--eta", "0.5", "--g", "0",
+             "--sweep", "e_lim:1.0:3.0:1.0", "--sweep", "e_avg:0.5:2.5:0.5"],
+        ):
+            _case_ab_pairs.cache_clear()
+            _, cold, _ = run_cli(capsys, *argv)
+            misses = _case_ab_pairs.cache_info().misses
+            _, warm, _ = run_cli(capsys, *argv)
+            assert _case_ab_pairs.cache_info().misses == misses
+            assert cold == warm
 
 
 class TestVerify:
@@ -198,6 +206,19 @@ class TestErrorHandling:
     def test_negative_g_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve-single", "--g", "-0.1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["solve-single", "--g", "nan"], "g"),
+            (["solve-single", "--e-lim", "inf"], "e_lim"),
+            (["solve-multi", "--g-list", "0.1,nan"], "per-block g"),
+        ],
+    )
+    def test_non_finite_input_names_parameter(self, capsys, argv, name):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {name} must be finite")
 
     def test_unknown_model_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve-single", "--ed-model", "nope")

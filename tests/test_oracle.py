@@ -1,5 +1,7 @@
 """Oracle self-consistency and solver-vs-oracle cross checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ehlink import (
     algorithm1,
     lp_step,
     o_tilde,
+    oracle,
     power_law_model,
     solve_p8,
     theta_log_theta_model,
@@ -18,6 +21,20 @@ from ehlink.oracle import GridSpec, enumerate_lp_vertices, grid_search_p2, grid_
 
 MODEL = theta_log_theta_model()
 P_REF = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
+
+
+def test_oracle_binds_no_solver_function():
+    # The oracles certify single_block and multi_block, so they may share
+    # those modules' data classes but none of their code.
+    borrowed = [
+        name
+        for name, value in vars(oracle).items()
+        if callable(value)
+        and not inspect.isclass(value)
+        and getattr(value, "__module__", None)
+        in ("ehlink.single_block", "ehlink.multi_block")
+    ]
+    assert borrowed == []
 
 
 class TestGridSpec:

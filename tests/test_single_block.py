@@ -27,8 +27,11 @@ from ehlink import (
     solve_lemma4,
     theta_log_theta_model,
 )
+from ehlink.decoder_energy import DecoderEnergyModel
 from ehlink.single_block import (
+    _AB_CACHE_SIZE,
     InfeasibleRecoveryError,
+    _case_ab_pairs,
     case_ab_pairs,
     solve_case_a,
 )
@@ -53,6 +56,14 @@ class TestSystemParams:
             SystemParams(eta=0.5, g=1.0, e_avg=1.0, e_lim=2.0)
         with pytest.raises(ValueError):
             SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=2.0, n=0)
+
+    @pytest.mark.parametrize("name", ["eta", "g", "e_avg", "e_lim"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values_by_name(self, name, value):
+        fields = dict(eta=0.5, g=0.0, e_avg=1.0, e_lim=2.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SystemParams(**fields)
 
     def test_validate_rejects_negative_g(self):
         p = SystemParams(eta=0.5, g=-0.1, e_avg=1.0, e_lim=2.0)
@@ -177,6 +188,40 @@ class TestCandidates:
             assert e1 == pytest.approx(e2, abs=1e-8)
 
 
+class TestCaseAbMemo:
+    def test_pairs_identical_across_budgets(self):
+        p_other = SystemParams(eta=0.5, g=0.2, e_avg=2.0, e_lim=3.0)
+        _case_ab_pairs.cache_clear()
+        assert case_ab_pairs(P_REF, MODEL) == case_ab_pairs(p_other, MODEL)
+        assert _case_ab_pairs.cache_info().misses == 1
+
+    def test_returned_list_is_a_copy(self):
+        first = case_ab_pairs(P_REF, MODEL)
+        expected = list(first)
+        first.clear()
+        assert case_ab_pairs(P_REF, MODEL) == expected
+
+    def test_distinct_models_with_one_name_do_not_share(self):
+        twin = theta_log_theta_model()
+        curve = power_law_model(1.0, 2.0)
+        impostor = DecoderEnergyModel(MODEL.name, curve.evaluate, curve.derivative)
+        _case_ab_pairs.cache_clear()
+        case_ab_pairs(P_REF, MODEL)
+        case_ab_pairs(P_REF, twin)
+        assert _case_ab_pairs.cache_info().currsize == 2
+        assert case_ab_pairs(P_REF, impostor) != case_ab_pairs(P_REF, MODEL)
+        assert case_ab_pairs(P_REF, impostor) == case_ab_pairs(P_REF, curve)
+
+    def test_cache_stays_bounded(self):
+        _case_ab_pairs.cache_clear()
+        for e_lim in np.linspace(1.5, 9.0, _AB_CACHE_SIZE + 8):
+            p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=float(e_lim))
+            case_ab_pairs(p, MODEL)
+        info = _case_ab_pairs.cache_info()
+        assert info.misses == _AB_CACHE_SIZE + 8
+        assert info.currsize == _AB_CACHE_SIZE
+
+
 class TestRecoverFull:
     def test_constraint_equalities(self):
         p = SystemParams(eta=0.5, g=0.3, e_avg=1.0, e_lim=3.0)
@@ -232,11 +277,13 @@ class TestAlgorithm1:
             if feasible(t, e, P_REF, MODEL):
                 assert objective(t, e, P_REF, MODEL) <= cand.objective + 1e-12
 
-    def test_shared_ab_pairs_change_nothing(self):
-        pairs = case_ab_pairs(P_REF, MODEL)
-        cand_a, _ = algorithm1(P_REF, MODEL)
-        cand_b, _ = algorithm1(P_REF, MODEL, ab_pairs=pairs)
-        assert cand_a == cand_b
+    def test_cold_and_warm_solves_agree(self):
+        _case_ab_pairs.cache_clear()
+        cold = algorithm1(P_REF, MODEL)
+        misses = _case_ab_pairs.cache_info().misses
+        warm = algorithm1(P_REF, MODEL)
+        assert _case_ab_pairs.cache_info().misses == misses
+        assert cold == warm
 
 
 class TestConstantPowerBaseline:
