@@ -17,7 +17,6 @@ from .multi_block import (
     g_dot,
     iterative_solver,
     lp_step,
-    o_tilde,
     solve_p8,
     theorem2_condition,
     threshold_u,
@@ -34,9 +33,8 @@ from .single_block import (
     m_function,
     n_function,
     objective,
+    ranked_candidates,
     recover_full,
-    solve_case_a,
-    solve_case_b,
     solve_case_c,
     solve_lemma3,
     solve_lemma4,

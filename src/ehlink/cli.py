@@ -16,7 +16,7 @@ import numpy as np
 
 from . import multi_block, oracle, single_block
 from .decoder_energy import parse_model, power_law_model, theta_log_theta_model
-from .single_block import Case, SystemParams
+from .single_block import SystemParams
 
 __all__ = ["main"]
 
@@ -64,6 +64,9 @@ def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
             raise ValueError(f"sweep spec must be var:start:stop:step, got {spec!r}")
         var = parts[0]
         start, stop, step = (float(x) for x in parts[1:])
+        for field, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{var} sweep {field} must be finite, got {value!r}")
         if step <= 0:
             raise ValueError("sweep step must be > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -75,7 +78,10 @@ def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
 
 def _parse_grid(spec: str) -> tuple[int, int]:
     a, _, b = spec.partition("x")
-    return int(a), int(b)
+    try:
+        return int(a), int(b)
+    except ValueError:
+        raise ValueError(f"--grid must be AxB with integer counts, got {spec!r}") from None
 
 
 def _meta(pairs: dict) -> list[str]:
@@ -143,14 +149,20 @@ def cmd_solve_multi(args) -> int:
     return 0
 
 
+def _blocks(args) -> int | None:
+    if args.blocks is not None and args.blocks < 1:
+        raise ValueError(f"--blocks must be >= 1, got {args.blocks}")
+    return args.blocks
+
+
 def _resolve_g_list(args) -> tuple[float, ...]:
+    blocks = _blocks(args)
     if args.g_list:
         values = tuple(float(x) for x in args.g_list.split(","))
-        if args.blocks and len(values) != args.blocks:
+        if blocks is not None and len(values) != blocks:
             raise ValueError("--g-list length disagrees with --blocks")
         return values
-    blocks = args.blocks or 1
-    return (args.g,) * blocks
+    return (args.g,) * (blocks or 1)
 
 
 def cmd_sweep_single(args) -> int:
@@ -182,22 +194,14 @@ def cmd_sweep_single(args) -> int:
 
 
 def _case_margins(p: SystemParams, model) -> tuple[str, float]:
-    """Winning case label and its margin over the runner-up."""
-    best = {}
-    ab = single_block.case_ab_pairs(p, model)
-    for theta, e_i, case in ab:
-        if single_block.feasible(theta, e_i, p, model):
-            value = single_block.objective(theta, e_i, p, model)
-            best[case] = max(best.get(case, -math.inf), value)
-    cand_c = single_block.solve_case_c(p, model)
-    if cand_c is not None and single_block.feasible(cand_c.theta, cand_c.e_i, p, model):
-        best[Case.MAX_HARVEST_POWER] = cand_c.objective
-    if not best:
+    """Winning case label and its margin over the best candidate of another case."""
+    ranked = single_block.ranked_candidates(p, model)
+    if not ranked:
         return "invalid", math.nan
-    ranked = sorted(best.items(), key=lambda kv: kv[1], reverse=True)
-    winner, top = ranked[0]
-    margin = top - ranked[1][1] if len(ranked) > 1 else math.inf
-    return winner.value, margin
+    winner = ranked[0]
+    runner_up = next((c for c in ranked if c.case_label is not winner.case_label), None)
+    margin = math.inf if runner_up is None else winner.objective - runner_up.objective
+    return winner.case_label.value, margin
 
 
 def cmd_region_map(args) -> int:
@@ -232,7 +236,7 @@ def cmd_sweep_multi(args) -> int:
     if set(sweeps) != {"e_avg"}:
         raise ValueError("sweep-multi sweeps e_avg only")
     model = parse_model(args.ed_model)
-    blocks = args.blocks or 4
+    blocks = _blocks(args)
 
     def solve(e_avg: float):
         p = _params(args, e_avg=float(e_avg))
@@ -297,7 +301,7 @@ def cmd_verify(args) -> int:
         p = _random_params(rng)
         m = models[i % 2]
         theta_dot, e_dot = multi_block.solve_p8(p, m)
-        value = multi_block.o_tilde(theta_dot, e_dot, p, m)
+        value = single_block.objective(theta_dot, e_dot, p, m, budget=1.0)
         _, _, grid_best = oracle.grid_search_p8(p, m, spec)
         err = abs(value - grid_best)
         worst = max(worst, err)
@@ -316,7 +320,9 @@ def cmd_verify(args) -> int:
         prob = multi_block.MultiBlockProblem(p, g_list, m)
         thetas = [float(rng.uniform(1.01, 5.0)) for _ in range(n)]
         e_is = [float(rng.uniform(0.01 * p.e_lim, p.e_lim)) for _ in range(n)]
-        cost = [multi_block.o_tilde(t, e, p, m) for t, e in zip(thetas, e_is)]
+        cost = [
+            single_block.objective(t, e, p, m, budget=1.0) for t, e in zip(thetas, e_is)
+        ]
         schedule = multi_block.lp_step(prob, thetas, e_is)
         status, vertex = oracle.enumerate_lp_vertices(prob, thetas, e_is)
         if status != "optimal":

@@ -5,11 +5,11 @@ per-block transfer variable T_i (positive: bank, negative: withdraw) turns
 the coupled energy-causality constraints into prefix-sum constraints, and
 each block then looks like a single-block problem with overhead g_i + T_i.
 
-The per-block objective scale factor (the normalized objective `o_tilde`)
-admits a block-independent maximizer (theta_dot, e_dot), which yields a
-closed-form upper bound and the suffix-sum achievability condition.  The
-general case alternates per-block single-block solves with an exact LP over
-the transfers.
+The per-block objective scale factor (the normalized objective, which is the
+single-block `objective` at unit budget) admits a block-independent
+maximizer (theta_dot, e_dot), which yields a closed-form upper bound and the
+suffix-sum achievability condition.  The general case alternates per-block
+single-block solves with an exact LP over the transfers.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .single_block import (
     SystemParams,
     algorithm1,
     case_ab_pairs,
+    objective,
 )
-from .channel import capacity
 
 __all__ = [
     "MultiBlockProblem",
@@ -37,7 +37,6 @@ __all__ = [
     "MultiBlockSolution",
     "LpInfeasibleError",
     "ScheduleConditionError",
-    "o_tilde",
     "solve_p8",
     "g_dot",
     "upper_bound",
@@ -105,41 +104,26 @@ class MultiBlockSolution:
     bound_achieved: bool
 
 
-def o_tilde(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
-    """Normalized objective ((theta-1)/theta) * C(e_i) / (eta*e_i + E(theta)).
-
-    Equals the single-block objective divided by the budget eta*e_avg - g.
-    """
-    denom = p.eta * e_i + m.evaluate(theta)
-    if denom <= 0.0:
-        return 0.0
-    return (theta - 1.0) / theta * capacity(e_i) / denom
-
-
 def solve_p8(p: SystemParams, m: DecoderEnergyModel) -> tuple[float, float]:
-    """Maximizer (theta_dot, e_dot) of o_tilde over the box constraints only.
+    """Maximizer (theta_dot, e_dot) of the unit-budget objective over the box only.
 
     Solved from the case (a)/(b) candidates; the boundary family (c) does not
     apply because the box has no coupled constraint.  Independent of e_avg
-    and g by inspection of o_tilde.
+    and g, since the unit-budget objective reads neither.
     """
     # Interior stationary pairs outside the box are not P8-feasible; the box
     # optimum is then on the e_i = e_lim edge, which case (b) supplies.
     in_box = [pair for pair in case_ab_pairs(p, m) if pair[1] <= p.e_lim + 1e-9]
-    best = max(in_box, key=lambda pair: o_tilde(pair[0], pair[1], p, m))
+    best = max(in_box, key=lambda pair: objective(pair[0], pair[1], p, m, budget=1.0))
     return best[0], best[1]
 
 
-def g_dot(
-    p: SystemParams,
-    m: DecoderEnergyModel,
-    p8: tuple[float, float] | None = None,
-) -> float:
+def g_dot(p: SystemParams, m: DecoderEnergyModel) -> float:
     """Minimum per-block overhead-plus-transfer level keeping (theta_dot, e_dot) feasible.
 
     Returns -inf when e_dot = e_lim: the boundary constraint then never binds.
     """
-    theta_dot, e_dot = p8 if p8 is not None else solve_p8(p, m)
+    theta_dot, e_dot = solve_p8(p, m)
     if p.e_lim - e_dot <= 1e-12 * p.e_lim:
         return -math.inf
     energy = m.evaluate(theta_dot)
@@ -149,11 +133,12 @@ def g_dot(
 
 
 def upper_bound(prob: MultiBlockProblem) -> float:
-    """Sum over blocks of (eta*e_avg - g_i) * o_tilde(theta_dot, e_dot)."""
+    """Total budget sum_i (eta*e_avg - g_i) times the unit-budget objective at
+    (theta_dot, e_dot)."""
     p, m = prob.params, prob.model
     theta_dot, e_dot = solve_p8(p, m)
-    scale = o_tilde(theta_dot, e_dot, p, m)
-    return sum((p.eta * p.e_avg - g) * scale for g in prob.g_list)
+    scale = objective(theta_dot, e_dot, p, m, budget=1.0)
+    return sum(p.eta * p.e_avg - g for g in prob.g_list) * scale
 
 
 def theorem2_condition(prob: MultiBlockProblem, gdot: float | None = None) -> bool:
@@ -233,13 +218,14 @@ def _lp_constraints(prob: MultiBlockProblem, thetas, e_is):
 def lp_step(prob: MultiBlockProblem, thetas, e_is) -> TransferSchedule:
     """Optimal transfers for fixed per-block (theta_i, e_i).
 
-    Minimizes sum_i o_tilde_i * T_i (the transfer-dependent part of the
-    total objective, negated) over the transfer polytope.  Ties are broken
-    toward the lexicographically smallest T through a chain of pinning LPs.
+    Minimizes sum_i o_i * T_i over the transfer polytope, where o_i is block
+    i's unit-budget objective (the transfer-dependent part of the total
+    objective, negated).  Ties are broken toward the lexicographically
+    smallest T through a chain of pinning LPs.
     """
     p, m = prob.params, prob.model
     n = prob.n_blocks
-    cost = np.array([o_tilde(thetas[i], e_is[i], p, m) for i in range(n)])
+    cost = np.array([objective(thetas[i], e_is[i], p, m, budget=1.0) for i in range(n)])
     a_ub, b_ub = _lp_constraints(prob, thetas, e_is)
     bounds = [(None, None)] * n
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
@@ -296,9 +282,8 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     """
     p, m = prob.params, prob.model
     n = prob.n_blocks
-    p8 = solve_p8(p, m)
-    gdot = g_dot(p, m, p8)
-    bound = sum(p.eta * p.e_avg - g for g in prob.g_list) * o_tilde(p8[0], p8[1], p, m)
+    gdot = g_dot(p, m)
+    bound = upper_bound(prob)
     condition = theorem2_condition(prob, gdot)
     schedule = (
         construct_schedule(prob, gdot) if condition else TransferSchedule((0.0,) * n)

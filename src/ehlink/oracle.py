@@ -86,7 +86,7 @@ def grid_search_p2(
 def grid_search_p8(
     p: SystemParams, m: DecoderEnergyModel, spec: GridSpec = GridSpec()
 ) -> tuple[float, float, float]:
-    """Exhaustive box maximization of the normalized objective o_tilde.
+    """Exhaustive box maximization of the objective at unit budget.
 
     Uses only the box constraints (no boundary coupling), so the result does
     not depend on e_avg or g.  The theta range starts at 8 and doubles while

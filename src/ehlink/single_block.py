@@ -10,8 +10,9 @@ causality and average-power constraints, to a two-variable problem over
   (c) peak harvesting power:  the candidate lies on the e_e = e_lim boundary
       and solves h(theta) = 0 there.
 
-`algorithm1` enumerates the three candidate families, filters infeasible
-points, and returns the best one together with the recovered full solution.
+`ranked_candidates` enumerates the three candidate families, filters
+infeasible points and ranks the rest; `algorithm1` returns the best one
+together with the recovered full solution.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ __all__ = [
     "solve_lemma3",
     "solve_lemma4",
     "case_ab_pairs",
-    "solve_case_a",
-    "solve_case_b",
     "solve_case_c",
     "recover_full",
+    "ranked_candidates",
     "algorithm1",
     "constant_power_baseline",
 ]
@@ -140,15 +140,26 @@ class FullSolution:
     total_bits: float
 
 
-def objective(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
+def objective(
+    theta: float,
+    e_i: float,
+    p: SystemParams,
+    m: DecoderEnergyModel,
+    budget: float | None = None,
+) -> float:
     """Reduced objective ((theta-1)/theta) * budget * C(e_i) / (eta*e_i + E(theta)).
 
-    Returns 0 for the degenerate 0/0 point theta = 1, e_i = 0.
+    The budget defaults to the block's own eta*e_avg - g; budget=1.0 gives
+    the normalized objective of the multi-block bound, which then depends
+    on eta and the model only.  Returns 0 for the degenerate 0/0 point
+    theta = 1, e_i = 0.
     """
     denom = p.eta * e_i + m.evaluate(theta)
     if denom <= 0.0:
         return 0.0
-    return (theta - 1.0) / theta * p.budget * capacity(e_i) / denom
+    if budget is None:
+        budget = p.budget
+    return (theta - 1.0) / theta * budget * capacity(e_i) / denom
 
 
 def feasible(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) -> bool:
@@ -289,23 +300,6 @@ def _case_ab_pairs(
     return tuple(out)
 
 
-def solve_case_a(p: SystemParams, m: DecoderEnergyModel) -> list[CandidateSolution]:
-    """All distinct interior stationary pairs (M = 0 and N = 0)."""
-    return [
-        CandidateSolution(t, e, c, objective(t, e, p, m))
-        for t, e, c in case_ab_pairs(p, m)
-        if c is Case.TRADE_OFF
-    ]
-
-
-def solve_case_b(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution:
-    """Peak information power: e_i = e_lim, theta from M = 0."""
-    theta = _theta_star(p.e_lim, p, m)
-    return CandidateSolution(
-        theta, p.e_lim, Case.MAX_INFO_POWER, objective(theta, p.e_lim, p, m)
-    )
-
-
 def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | None:
     """Peak harvesting power: best point on the e_e = e_lim boundary.
 
@@ -317,14 +311,10 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
     """
     if p.budget <= 0.0:
         return None
-    denom = p.eta * p.e_lim - p.g
-    k = (p.e_lim - p.e_avg) / denom
-
-    def e_tilde(theta: float) -> float:
-        return p.budget / denom * p.e_lim - k * m.evaluate(theta)
+    k = (p.e_lim - p.e_avg) / (p.eta * p.e_lim - p.g)
 
     def h(theta: float) -> float:
-        e = e_tilde(theta)
+        e = _e0(theta, p, m)
         if e <= 0.0:
             return -math.inf
         c = capacity(e)
@@ -350,7 +340,7 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
         theta = hi if hi > 1.0 else 1.0 + 1e-12
     else:
         theta = float(optimize.brentq(h, 1.0, hi, xtol=1e-12, rtol=8.9e-16))
-    e_i = max(e_tilde(theta), 0.0)
+    e_i = _e0(theta, p, m)
     return CandidateSolution(
         theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)
     )
@@ -383,27 +373,37 @@ def _zero_solution(p: SystemParams) -> tuple[CandidateSolution, FullSolution]:
     return cand, full
 
 
+def ranked_candidates(p: SystemParams, m: DecoderEnergyModel) -> list[CandidateSolution]:
+    """Feasible case (a)/(b)/(c) candidates, best objective first.
+
+    Feasibility is checked before an objective is computed.  The sort is
+    stable, so ties keep the a, b, c enumeration order and the first entry
+    is the first maximizer in that order.
+    """
+    candidates = [
+        CandidateSolution(t, e, c, objective(t, e, p, m))
+        for t, e, c in case_ab_pairs(p, m)
+        if feasible(t, e, p, m)
+    ]
+    cand_c = solve_case_c(p, m)
+    if cand_c is not None and feasible(cand_c.theta, cand_c.e_i, p, m):
+        candidates.append(cand_c)
+    return sorted(candidates, key=lambda c: c.objective, reverse=True)
+
+
 def algorithm1(
     p: SystemParams, m: DecoderEnergyModel
 ) -> tuple[CandidateSolution, FullSolution]:
     """Globally optimal single-block solution.
 
-    Enumerates case (a)/(b)/(c) candidates, keeps the feasible ones, and
-    returns the objective maximizer with its recovered full solution.
+    Takes the top-ranked feasible candidate and recovers its full solution.
     """
     if p.budget <= 0.0:
         return _zero_solution(p)
-    candidates = [
-        CandidateSolution(t, e, c, objective(t, e, p, m))
-        for t, e, c in case_ab_pairs(p, m)
-    ]
-    cand_c = solve_case_c(p, m)
-    if cand_c is not None:
-        candidates.append(cand_c)
-    feasible_candidates = [c for c in candidates if feasible(c.theta, c.e_i, p, m)]
-    if not feasible_candidates:
+    ranked = ranked_candidates(p, m)
+    if not ranked:
         raise SolverError("no feasible candidate; internal consistency failure")
-    best = max(feasible_candidates, key=lambda c: c.objective)
+    best = ranked[0]
     return best, recover_full(best.theta, best.e_i, p, m)
 
 

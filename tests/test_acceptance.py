@@ -26,7 +26,7 @@ from ehlink import (
     lp_step,
     m_function,
     n_function,
-    o_tilde,
+    objective,
     power_law_model,
     recover_full,
     solve_case_c,
@@ -190,8 +190,6 @@ def test_criterion_4_candidate_coverage(single_block_sweep):
         scale = 1.0 / max(ins.grid_value, 1e-12)
 
         def neg_obj(x, p=p, m=m, scale=scale):
-            from ehlink import objective
-
             return -scale * objective(float(x[0]), float(x[1]), p, m)
 
         res = minimize(
@@ -342,7 +340,7 @@ def test_criterion_9_lp_exactness():
         prob = MultiBlockProblem(p, gs, model)
         thetas = [float(t) for t in rng.uniform(1.01, 5.0, n)]
         e_is = [float(e) for e in rng.uniform(0.01 * p.e_lim, p.e_lim, n)]
-        cost = [o_tilde(t, e, p, model) for t, e in zip(thetas, e_is)]
+        cost = [objective(t, e, p, model, budget=1.0) for t, e in zip(thetas, e_is)]
         sched = lp_step(prob, thetas, e_is)
         status, vertex = enumerate_lp_vertices(prob, thetas, e_is)
         assert status == "optimal"

@@ -5,7 +5,17 @@ import math
 
 import pytest
 
-from ehlink import SystemParams, algorithm1, cli, iterative_solver, theta_log_theta_model
+from ehlink import (
+    CandidateSolution,
+    Case,
+    SystemParams,
+    algorithm1,
+    cli,
+    iterative_solver,
+    ranked_candidates,
+    single_block,
+    theta_log_theta_model,
+)
 from ehlink.cli import main
 from ehlink.multi_block import MultiBlockProblem
 from ehlink.single_block import _case_ab_pairs
@@ -147,12 +157,55 @@ class TestSweeps:
         assert "invalid" in cases  # e_avg >= e_lim cells
         assert cases & {"a", "b", "c"}
 
+    def test_region_map_reads_ranked_candidates(self, capsys):
+        # Every valid cell has a positive budget, so algorithm1 and the map
+        # both take the top-ranked candidate.
+        code, out, _ = run_cli(
+            capsys,
+            "region-map",
+            "--eta", "0.5", "--g", "0.1",
+            "--sweep", "e_lim:1.0:4.0:1.0",
+            "--sweep", "e_avg:0.5:3.5:0.5",
+        )
+        assert code == 0
+        model = theta_log_theta_model()
+        rows = [ln for ln in out.strip().splitlines() if not ln.startswith("#")][1:]
+        checked = set()
+        for row in rows:
+            e_lim, e_avg, case, margin = row.split(",")
+            if case == "invalid":
+                continue
+            p = SystemParams(eta=0.5, g=0.1, e_avg=float(e_avg), e_lim=float(e_lim))
+            assert p.budget > 0.0
+            ranked = ranked_candidates(p, model)
+            assert case == algorithm1(p, model)[0].case_label.value
+            others = [c.objective for c in ranked if c.case_label is not ranked[0].case_label]
+            expected = ranked[0].objective - max(others) if others else math.inf
+            assert margin == format(expected, ".12g")
+            checked.add(case)
+        assert checked == {"a", "b", "c"}
+
+    def test_margin_is_over_the_best_other_case(self, monkeypatch):
+        # A second case (a) pair ranks above case (b); the margin skips it.
+        a1 = CandidateSolution(1.5, 1.0, Case.TRADE_OFF, 0.5)
+        a2 = CandidateSolution(2.0, 0.5, Case.TRADE_OFF, 0.375)
+        b = CandidateSolution(1.4, 3.0, Case.MAX_INFO_POWER, 0.25)
+        for ranked, expected in (([a1, a2, b], ("a", 0.25)), ([a1, a2], ("a", math.inf))):
+            monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m: ranked)
+            assert cli._case_margins(None, None) == expected
+        monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m: [])
+        case, margin = cli._case_margins(None, None)
+        assert case == "invalid" and math.isnan(margin)
+
     def test_bad_sweep_spec_is_an_error(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep-single", "--sweep", "e_avg:0:1"
         )
         assert code == 2
         assert "error" in err
+        code, _, err = run_cli(capsys, "verify", "--grid", "5")
+        assert code == 2
+        assert err == "error: --grid must be AxB with integer counts, got '5'\n"
 
 
 class TestDeterminism:
@@ -213,12 +266,30 @@ class TestErrorHandling:
             (["solve-single", "--g", "nan"], "g"),
             (["solve-single", "--e-lim", "inf"], "e_lim"),
             (["solve-multi", "--g-list", "0.1,nan"], "per-block g"),
+            (["sweep-single", "--sweep", "e_avg:0.1:inf:0.1"], "e_avg sweep stop"),
+            (["sweep-single", "--sweep", "e_avg:nan:1:0.1"], "e_avg sweep start"),
+            (["region-map", "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0:1:-inf"],
+             "e_avg sweep step"),
         ],
     )
     def test_non_finite_input_names_parameter(self, capsys, argv, name):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith(f"error: {name} must be finite")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-multi", "--blocks", "0"],
+            ["solve-multi", "--blocks", "-1", "--g-list", "0.1"],
+            ["sweep-multi", "--blocks", "0", "--sweep", "e_avg:0.5:1.0:0.5"],
+        ],
+    )
+    def test_blocks_below_one_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --blocks must be >= 1, got {argv[2]}\n"
 
     def test_unknown_model_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve-single", "--ed-model", "nope")

@@ -1,5 +1,6 @@
-"""Multi-block planner tests: normalized objective, schedule construction,
-achievability condition, threshold, and the iterative solver."""
+"""Multi-block planner tests: normalized objective (the single-block objective
+at unit budget), schedule construction, achievability condition, threshold,
+and the iterative solver."""
 
 import math
 
@@ -13,7 +14,7 @@ from ehlink import (
     construct_schedule,
     g_dot,
     iterative_solver,
-    o_tilde,
+    objective,
     solve_p8,
     theorem2_condition,
     theta_log_theta_model,
@@ -41,16 +42,20 @@ class TestProblemValidation:
 
 
 class TestOTilde:
+    """The normalized objective o~ of the bound: `objective` at unit budget."""
+
     def test_is_objective_per_unit_budget(self):
         p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
-        assert o_tilde(2.0, 1.0, p, MODEL) == pytest.approx(
+        assert objective(2.0, 1.0, p, MODEL, budget=1.0) == pytest.approx(
             0.1205193961430661, abs=1e-14
         )
 
     def test_independent_of_e_avg_and_g(self):
         p1 = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
         p2 = SystemParams(eta=0.5, g=0.3, e_avg=2.0, e_lim=3.0)
-        assert o_tilde(1.7, 0.8, p1, MODEL) == o_tilde(1.7, 0.8, p2, MODEL)
+        assert objective(1.7, 0.8, p1, MODEL, budget=1.0) == objective(
+            1.7, 0.8, p2, MODEL, budget=1.0
+        )
 
 
 class TestSolveP8:
@@ -58,9 +63,8 @@ class TestSolveP8:
         theta_dot, e_dot = solve_p8(P_FIG, MODEL)
         assert theta_dot == pytest.approx(1.705040248365408, abs=1e-8)
         assert e_dot == pytest.approx(1.347146067037799, abs=1e-8)
-        assert o_tilde(theta_dot, e_dot, P_FIG, MODEL) == pytest.approx(
-            0.1107104770126589, abs=1e-10
-        )
+        value = objective(theta_dot, e_dot, P_FIG, MODEL, budget=1.0)
+        assert value == pytest.approx(0.1107104770126589, abs=1e-10)
 
     def test_independent_of_e_avg_and_g(self):
         p2 = SystemParams(eta=1.0, g=0.8, e_avg=1.0, e_lim=4.0)
@@ -153,9 +157,13 @@ class TestConstructSchedule:
 class TestUpperBound:
     def test_linear_in_budgets(self):
         prob = MultiBlockProblem(P_FIG, (0.1, 0.3), MODEL)
-        scale = o_tilde(*solve_p8(P_FIG, MODEL), P_FIG, MODEL)
+        scale = objective(*solve_p8(P_FIG, MODEL), P_FIG, MODEL, budget=1.0)
         expected = ((1.0 * 2.0 - 0.1) + (1.0 * 2.0 - 0.3)) * scale
         assert upper_bound(prob) == pytest.approx(expected, rel=1e-12)
+
+    def test_is_the_solver_bound(self):
+        prob = MultiBlockProblem(P_FIG, (0.1, 0.3, 0.0), MODEL)
+        assert iterative_solver(prob).bound == upper_bound(prob)
 
 
 class TestIterativeSolver:

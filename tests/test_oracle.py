@@ -10,7 +10,7 @@ from ehlink import (
     SystemParams,
     algorithm1,
     lp_step,
-    o_tilde,
+    objective,
     oracle,
     power_law_model,
     solve_p8,
@@ -71,7 +71,8 @@ class TestGridSearchP8:
     def test_tracks_solver(self):
         theta_dot, e_dot = solve_p8(P_REF, MODEL)
         _, _, best = grid_search_p8(P_REF, MODEL)
-        assert best == pytest.approx(o_tilde(theta_dot, e_dot, P_REF, MODEL), abs=1e-3)
+        value = objective(theta_dot, e_dot, P_REF, MODEL, budget=1.0)
+        assert best == pytest.approx(value, abs=1e-3)
 
     def test_ignores_e_avg_and_g(self):
         p2 = SystemParams(eta=0.5, g=0.3, e_avg=2.0, e_lim=3.0)
@@ -97,7 +98,7 @@ class TestVertexEnumeration:
         for i in range(60):
             prob, thetas, e_is = self._random_instance(rng, models[i % 2])
             p, m = prob.params, prob.model
-            cost = [o_tilde(t, e, p, m) for t, e in zip(thetas, e_is)]
+            cost = [objective(t, e, p, m, budget=1.0) for t, e in zip(thetas, e_is)]
             status, vertex = enumerate_lp_vertices(prob, thetas, e_is)
             assert status == "optimal"
             sched = lp_step(prob, thetas, e_is)

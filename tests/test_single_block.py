@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehlink import (
     Case,
@@ -20,8 +22,8 @@ from ehlink import (
     n_function,
     objective,
     power_law_model,
+    ranked_candidates,
     recover_full,
-    solve_case_b,
     solve_case_c,
     solve_lemma3,
     solve_lemma4,
@@ -33,7 +35,6 @@ from ehlink.single_block import (
     InfeasibleRecoveryError,
     _case_ab_pairs,
     case_ab_pairs,
-    solve_case_a,
 )
 
 MODEL = theta_log_theta_model()
@@ -162,14 +163,18 @@ class TestLemma4:
 )
 class TestCandidates:
     def test_case_a_residuals(self, model):
-        for cand in solve_case_a(P_REF, model):
-            assert abs(m_function(cand.theta, cand.e_i, P_REF, model)) < 1e-8
-            assert abs(n_function(cand.e_i, cand.theta, P_REF, model)) < 1e-8
+        pairs = [(t, e) for t, e, c in case_ab_pairs(P_REF, model) if c is Case.TRADE_OFF]
+        assert pairs
+        for theta, e_i in pairs:
+            assert abs(m_function(theta, e_i, P_REF, model)) < 1e-8
+            assert abs(n_function(e_i, theta, P_REF, model)) < 1e-8
 
     def test_case_b_pins_peak_power(self, model):
-        cand = solve_case_b(P_REF, model)
-        assert cand.e_i == P_REF.e_lim
-        assert abs(m_function(cand.theta, cand.e_i, P_REF, model)) < 1e-8
+        [(theta, e_i)] = [
+            (t, e) for t, e, c in case_ab_pairs(P_REF, model) if c is Case.MAX_INFO_POWER
+        ]
+        assert e_i == P_REF.e_lim
+        assert abs(m_function(theta, e_i, P_REF, model)) < 1e-8
 
     def test_case_c_sits_on_harvest_boundary(self, model):
         p = SystemParams(eta=0.5, g=0.0, e_avg=2.5, e_lim=3.0)
@@ -186,6 +191,42 @@ class TestCandidates:
         for (t1, e1), (t2, e2) in zip(ref, other):
             assert t1 == pytest.approx(t2, abs=1e-8)
             assert e1 == pytest.approx(e2, abs=1e-8)
+
+
+MODELS = [MODEL, power_law_model(1.0, 2.0)]
+
+
+@st.composite
+def link_params(draw):
+    """A valid link over the whole domain, edges included: e_avg from 0 up to
+    e_lim, g from 0 up to eta*e_avg (zero budget)."""
+    eta = draw(st.floats(0.3, 1.0))
+    e_lim = draw(st.floats(0.5, 8.0))
+    e_avg = e_lim * draw(st.one_of(st.floats(0.0, 0.98), st.floats(0.98, 1.0 - 1e-9)))
+    g = eta * e_avg * draw(st.one_of(st.floats(0.0, 1.0), st.just(1.0)))
+    return SystemParams(eta=eta, g=g, e_avg=e_avg, e_lim=e_lim)
+
+
+class TestRankedCandidates:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=link_params(), model=st.sampled_from(MODELS))
+    def test_ranked_feasible_and_led_by_algorithm1(self, p, model):
+        ranked = ranked_candidates(p, model)
+        values = [c.objective for c in ranked]
+        assert values == sorted(values, reverse=True)
+        assert all(feasible(c.theta, c.e_i, p, model) for c in ranked)
+        if p.budget > 0.0:
+            assert ranked[0] == algorithm1(p, model)[0]
+
+    def test_ties_keep_enumeration_order(self):
+        # At zero budget every candidate scores 0, so the ranking is the
+        # enumeration order itself: case (a) pairs first, then case (b).
+        p = SystemParams(eta=1.0, g=0.25, e_avg=0.25, e_lim=3.0)
+        ranked = ranked_candidates(p, MODEL)
+        assert [c.objective for c in ranked] == [0.0] * len(ranked)
+        expected = [(t, e) for t, e, _ in case_ab_pairs(p, MODEL) if feasible(t, e, p, MODEL)]
+        assert [(c.theta, c.e_i) for c in ranked] == expected
+        assert ranked[-1].case_label is Case.MAX_INFO_POWER
 
 
 class TestCaseAbMemo:
