@@ -56,6 +56,13 @@ def _params(args, e_avg=None, e_lim=None, g=None) -> SystemParams:
     ).validate()
 
 
+def _number(text: str, name: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
+
+
 def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
     sweeps = {}
     for spec in specs or []:
@@ -63,15 +70,18 @@ def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
         if len(parts) != 4:
             raise ValueError(f"sweep spec must be var:start:stop:step, got {spec!r}")
         var = parts[0]
-        start, stop, step = (float(x) for x in parts[1:])
+        start, stop, step = (
+            _number(text, f"{var} sweep {field}")
+            for field, text in zip(("start", "stop", "step"), parts[1:])
+        )
         for field, value in (("start", start), ("stop", stop), ("step", step)):
             if not math.isfinite(value):
                 raise ValueError(f"{var} sweep {field} must be finite, got {value!r}")
         if step <= 0:
-            raise ValueError("sweep step must be > 0")
+            raise ValueError(f"{var} sweep step must be > 0, got {step!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
-            raise ValueError("sweep range is empty")
+            raise ValueError(f"{var} sweep range is empty: stop {stop!r} < start {start!r}")
         sweeps[var] = start + step * np.arange(count)
     return sweeps
 
@@ -79,9 +89,12 @@ def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
 def _parse_grid(spec: str) -> tuple[int, int]:
     a, _, b = spec.partition("x")
     try:
-        return int(a), int(b)
+        counts = int(a), int(b)
     except ValueError:
         raise ValueError(f"--grid must be AxB with integer counts, got {spec!r}") from None
+    if min(counts) < 2:
+        raise ValueError(f"--grid counts must be >= 2, got {spec!r}")
+    return counts
 
 
 def _meta(pairs: dict) -> list[str]:
@@ -158,7 +171,7 @@ def _blocks(args) -> int | None:
 def _resolve_g_list(args) -> tuple[float, ...]:
     blocks = _blocks(args)
     if args.g_list:
-        values = tuple(float(x) for x in args.g_list.split(","))
+        values = tuple(_number(x, "--g-list entry") for x in args.g_list.split(","))
         if blocks is not None and len(values) != blocks:
             raise ValueError("--g-list length disagrees with --blocks")
         return values

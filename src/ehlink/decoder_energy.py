@@ -69,6 +69,9 @@ def theta_log_theta_model() -> DecoderEnergyModel:
 
 def power_law_model(c: float = 1.0, p: float = 2.0) -> DecoderEnergyModel:
     """E(theta) = c * (theta - 1)^p with c > 0 and p >= 1."""
+    for name, value in (("c", c), ("p", p)):
+        if not math.isfinite(value):
+            raise ValueError(f"power-law {name} must be finite, got {value!r}")
     if not c > 0:
         raise ValueError("power-law coefficient c must be > 0")
     if not p >= 1:
@@ -104,7 +107,12 @@ def parse_model(spec: str) -> DecoderEnergyModel:
                 key = key.strip()
                 if key not in ("c", "p"):
                     raise ValueError(f"unknown power-law parameter {key!r}")
-                kwargs[key] = float(value)
+                try:
+                    kwargs[key] = float(value)
+                except ValueError:
+                    raise ValueError(
+                        f"power-law {key} must be a number, got {value!r}"
+                    ) from None
         return power_law_model(**kwargs)
     raise ValueError(f"unknown decoder energy model {spec!r}")
 

@@ -256,8 +256,12 @@ def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, f
     functions, so two models that merely share a name never share pairs.
     Each call returns a fresh list.
     Case (a) pairs come from alternating the unconstrained M- and N-roots to
-    a fixed point from 16 log-spaced starting energies; non-converging starts
-    are discarded.
+    a fixed point from 16 log-spaced starting energies.  The alternation map
+    e -> e*(theta*(e)) is monotone (M rises in e and falls in theta, N falls
+    in e and rises in theta), so every energy between a start and the fixed
+    point it reached flows to that same point.  A later start inside such a
+    span is skipped, and a running start stops with no pair once it enters
+    one.  Starts that fail or do not converge are discarded and cover no span.
     """
     return list(_case_ab_pairs(p.eta, p.e_lim, m))
 
@@ -271,6 +275,7 @@ def _case_ab_pairs(
     # The root finders read only eta and e_lim from p.
     p = SystemParams(eta=eta, g=0.0, e_avg=0.0, e_lim=e_lim)
     pairs: list[tuple[float, float]] = []
+    resolved: list[tuple[float, float]] = []  # e-spans of finished starts
     seeds = np.geomspace(1e-3 * p.e_lim, p.e_lim, _N_STARTS)
     for seed in seeds:
         e = float(seed)
@@ -278,6 +283,9 @@ def _case_ab_pairs(
         converged = False
         try:
             for _ in range(_MAX_ALTERNATIONS):
+                # e -> e*(theta*(e)) is monotone: e flows to that span's fixed point.
+                if any(lo <= e <= hi for lo, hi in resolved):
+                    break
                 theta_new = _theta_star(e, p, m)
                 e_new = _e_star(theta_new, p, m)
                 if abs(theta_new - theta) < _FIXED_POINT_TOL and abs(e_new - e) < _FIXED_POINT_TOL:
@@ -285,12 +293,11 @@ def _case_ab_pairs(
                     converged = True
                     break
                 theta, e = theta_new, e_new
-                # Snap onto an already-found fixed point to skip re-convergence.
-                if any(abs(theta - t0) < 1e-8 and abs(e - e0) < 1e-8 for t0, e0 in pairs):
-                    converged = False
-                    break
+            else:  # out of alternations: no fixed point, no span
+                continue
         except SolverError:
             continue
+        resolved.append((min(seed, e), max(seed, e)))
         if converged and not any(
             abs(theta - t0) < _DEDUP_TOL and abs(e - e0) < _DEDUP_TOL for t0, e0 in pairs
         ):

@@ -203,9 +203,19 @@ class TestSweeps:
         )
         assert code == 2
         assert "error" in err
-        code, _, err = run_cli(capsys, "verify", "--grid", "5")
-        assert code == 2
-        assert err == "error: --grid must be AxB with integer counts, got '5'\n"
+        for argv, message in (
+            (["verify", "--grid", "5"], "--grid must be AxB with integer counts, got '5'"),
+            (["verify", "--grid", "1x1"], "--grid counts must be >= 2, got '1x1'"),
+            (["sweep-single", "--sweep", "e_avg:a:1:0.1"],
+             "e_avg sweep start must be a number, got 'a'"),
+            (["sweep-single", "--sweep", "e_avg:1:0:0.1"],
+             "e_avg sweep range is empty: stop 0.0 < start 1.0"),
+            (["solve-multi", "--g-list", "0.1,x"], "--g-list entry must be a number, got 'x'"),
+            (["solve-single", "--ed-model", "power-law:c=1,p=x"],
+             "power-law p must be a number, got 'x'"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestDeterminism:
@@ -270,6 +280,8 @@ class TestErrorHandling:
             (["sweep-single", "--sweep", "e_avg:nan:1:0.1"], "e_avg sweep start"),
             (["region-map", "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0:1:-inf"],
              "e_avg sweep step"),
+            (["solve-single", "--ed-model", "power-law:c=inf,p=2"], "power-law c"),
+            (["solve-single", "--ed-model", "power-law:c=1,p=inf"], "power-law p"),
         ],
     )
     def test_non_finite_input_names_parameter(self, capsys, argv, name):

@@ -61,6 +61,10 @@ class TestPowerLaw:
             power_law_model(c=0.0)
         with pytest.raises(ValueError):
             power_law_model(p=0.5)
+        with pytest.raises(ValueError, match="^power-law c must be finite"):
+            power_law_model(c=math.nan)
+        with pytest.raises(ValueError, match="^power-law p must be finite"):
+            power_law_model(p=math.inf)
 
 
 class TestParseModel:

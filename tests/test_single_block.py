@@ -5,7 +5,9 @@ over 4e6 theta points and of N over 5e6 energy points) before being pinned
 here; closed-form checkpoints are evaluated by hand.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from ehlink import (
     solve_lemma4,
     theta_log_theta_model,
 )
+from ehlink import single_block
 from ehlink.decoder_energy import DecoderEnergyModel
 from ehlink.single_block import (
     _AB_CACHE_SIZE,
@@ -261,6 +264,67 @@ class TestCaseAbMemo:
         info = _case_ab_pairs.cache_info()
         assert info.misses == _AB_CACHE_SIZE + 8
         assert info.currsize == _AB_CACHE_SIZE
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "case_ab_pairs_golden.json").read_text())
+
+
+def _golden_model(spec: dict) -> DecoderEnergyModel:
+    if spec["name"] == "theta-log-theta":
+        return theta_log_theta_model()
+    return power_law_model(spec["c"], spec["p"])
+
+
+class TestCaseAbStarts:
+    """Starts inside an already-resolved span are skipped; nothing else moves."""
+
+    def test_pairs_match_golden_bit_for_bit(self):
+        mismatched = []
+        for key in GOLDEN["keys"]:
+            expected = tuple(
+                (float.fromhex(t), float.fromhex(e), Case(c)) for t, e, c in key["pairs"]
+            )
+            got = _case_ab_pairs(key["eta"], key["e_lim"], _golden_model(key["model"]))
+            if got != expected:
+                mismatched.append(key)
+        assert not mismatched
+        # The corpus includes case (a) pairs outside the box (e > e_lim).
+        assert any(
+            float.fromhex(e) > key["e_lim"] for key in GOLDEN["keys"] for _, e, _ in key["pairs"]
+        )
+
+    def test_cold_call_alternation_budget(self, monkeypatch):
+        # Running every start to its own fixed point took at least 159
+        # theta* solves per key on this corpus.
+        calls = []
+        theta_star = single_block._theta_star
+        monkeypatch.setattr(
+            single_block, "_theta_star", lambda *a: calls.append(1) or theta_star(*a)
+        )
+        for key in GOLDEN["keys"]:
+            _case_ab_pairs.cache_clear()
+            calls.clear()
+            _case_ab_pairs(key["eta"], key["e_lim"], _golden_model(key["model"]))
+            assert len(calls) <= 80, key
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        eta=st.floats(1e-3, 1.0),
+        model=st.one_of(
+            st.just(MODEL),
+            st.builds(power_law_model, st.floats(0.05, 20.0), st.floats(1.0, 10.0)),
+        ),
+        energies=st.lists(st.floats(1e-5, 60.0), min_size=2, max_size=6, unique=True),
+    )
+    def test_alternation_map_is_monotone(self, eta, model, energies):
+        # The premise of the skip: F(e) = e*(theta*(e)) is non-decreasing,
+        # up to the root finders' own precision.
+        p = SystemParams(eta=eta, g=0.0, e_avg=0.0, e_lim=60.0)
+        images = [
+            single_block._e_star(single_block._theta_star(e, p, model), p, model)
+            for e in sorted(energies)
+        ]
+        assert all(a <= b * (1.0 + 1e-9) for a, b in zip(images, images[1:]))
 
 
 class TestRecoverFull:
