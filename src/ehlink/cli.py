@@ -1,9 +1,11 @@
 """Command-line front end: single/multi solves, sweeps, and oracle checks.
 
-All commands emit CSV with ``#``-prefixed ``key=value`` metadata lines before
-the header.  Output is deterministic for a fixed flag set and seed: floats
-are printed with 12 significant digits, period decimal separator, and rows
-follow grid order.
+The solve and sweep commands emit CSV with ``#``-prefixed ``key=value``
+metadata lines before the header; ``verify`` prints a PASS/FAIL table.
+Output is deterministic for a fixed flag set and seed: floats are printed
+with 12 significant digits, period decimal separator, and rows follow grid
+order.  Each command declares only the flags it reads, so an unused flag is
+an argparse error.
 """
 
 from __future__ import annotations
@@ -36,23 +38,29 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, default=0.5)
-    parser.add_argument("--g", type=float, default=0.0)
-    parser.add_argument("--e-avg", dest="e_avg", type=float, default=0.5)
-    parser.add_argument("--e-lim", dest="e_lim", type=float, default=3.0)
-    parser.add_argument("--n", type=int, default=1)
+_PARAM_DEFAULTS = {"eta": 0.5, "g": 0.0, "e_avg": 0.5, "e_lim": 3.0}
+# Largest point count of one --sweep axis.
+_MAX_SWEEP_POINTS = 1_000_000
+
+
+def _add_param_flags(parser, *names: str) -> None:
+    """Add --ed-model, --out and one flag per named SystemParams field."""
+    for name in names:
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=name, type=float,
+            default=_PARAM_DEFAULTS[name],
+        )
     parser.add_argument("--ed-model", dest="ed_model", default="theta-log-theta")
     parser.add_argument("--out", default=None)
 
 
-def _params(args, e_avg=None, e_lim=None, g=None) -> SystemParams:
+def _params(args, e_avg=None, e_lim=None) -> SystemParams:
+    # A swept e_avg or e_lim is passed in; its command has no flag for it.
     return SystemParams(
         eta=args.eta,
-        g=args.g if g is None else g,
+        g=args.g,
         e_avg=args.e_avg if e_avg is None else e_avg,
         e_lim=args.e_lim if e_lim is None else e_lim,
-        n=args.n,
     ).validate()
 
 
@@ -79,7 +87,14 @@ def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
                 raise ValueError(f"{var} sweep {field} must be finite, got {value!r}")
         if step <= 0:
             raise ValueError(f"{var} sweep step must be > 0, got {step!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        # Bounded before flooring: steps may be inf, and count sizes np.arange.
+        steps = (stop - start) / step
+        if not steps + 1e-9 < _MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"{var} sweep has more than {_MAX_SWEEP_POINTS} points: "
+                f"(stop - start) / step = {steps:.6g}"
+            )
+        count = int(math.floor(steps + 1e-9)) + 1
         if count < 1:
             raise ValueError(f"{var} sweep range is empty: stop {stop!r} < start {start!r}")
         sweeps[var] = start + step * np.arange(count)
@@ -255,10 +270,13 @@ def cmd_sweep_multi(args) -> int:
         p = _params(args, e_avg=float(e_avg))
         prob = multi_block.MultiBlockProblem(p, (args.g,) * blocks, model)
         sol = multi_block.iterative_solver(prob)
-        u = multi_block.threshold_u(p, model, args.g)
-        return sol.bound, sol.total_bits_per_use, sol.bound_achieved, u
+        return sol.bound, sol.total_bits_per_use, sol.bound_achieved
 
     rows = [solve(e_avg) for e_avg in sweeps["e_avg"]]
+    # threshold_u reads eta, e_lim and the model but not e_avg, so one call
+    # serves every row (a sweep has at least one point).
+    first = _params(args, e_avg=float(sweeps["e_avg"][0]))
+    u = multi_block.threshold_u(first, model, args.g)
     lines = _meta(
         {
             "eta": args.eta,
@@ -266,11 +284,11 @@ def cmd_sweep_multi(args) -> int:
             "e_lim": args.e_lim,
             "blocks": blocks,
             "model": model.name,
-            "u": rows[0][3] if rows else math.nan,
+            "u": u,
         }
     )
     lines.append("e_avg,upper_bound,total_bits_per_use,achieved,u")
-    for e_avg, (bound, total, achieved, u) in zip(sweeps["e_avg"], rows):
+    for e_avg, (bound, total, achieved) in zip(sweeps["e_avg"], rows):
         lines.append(
             ",".join(_fmt(v) for v in (float(e_avg), bound, total, achieved, u))
         )
@@ -286,87 +304,74 @@ def _random_params(rng) -> SystemParams:
     return SystemParams(eta=eta, g=g, e_avg=e_avg, e_lim=e_lim)
 
 
+def _check_p2(p, m, rng, spec):
+    """Single-block solver vs dense grid search."""
+    cand, _ = single_block.algorithm1(p, m)
+    _, _, grid_best = oracle.grid_search_p2(p, m, spec)
+    return abs(cand.objective - grid_best), f"params={p} model={m.name}"
+
+
+def _check_p8(p, m, rng, spec):
+    """Normalized box problem vs dense grid search."""
+    theta_dot, e_dot = multi_block.solve_p8(p, m)
+    value = single_block.objective(theta_dot, e_dot, p, m, budget=1.0)
+    _, _, grid_best = oracle.grid_search_p8(p, m, spec)
+    return abs(value - grid_best), f"params={p} model={m.name}"
+
+
+def _check_lp(p, m, rng, spec):
+    """Transfer LP vs vertex enumeration on random blocks and pairs."""
+    n = int(rng.integers(1, 5))
+    g_list = tuple(rng.uniform(0.0, p.eta * p.e_avg) for _ in range(n))
+    prob = multi_block.MultiBlockProblem(p, g_list, m)
+    thetas = [float(rng.uniform(1.01, 5.0)) for _ in range(n)]
+    e_is = [float(rng.uniform(0.01 * p.e_lim, p.e_lim)) for _ in range(n)]
+    cost = [single_block.objective(t, e, p, m, budget=1.0) for t, e in zip(thetas, e_is)]
+    schedule = multi_block.lp_step(prob, thetas, e_is)
+    status, vertex = oracle.enumerate_lp_vertices(prob, thetas, e_is)
+    if status != "optimal":
+        return None, f"lp enumeration status={status} params={p}"
+    err = abs(
+        sum(c * t for c, t in zip(cost, schedule.t_list))
+        - sum(c * t for c, t in zip(cost, vertex.t_list))
+    )
+    return err, f"params={p} g_list={g_list} thetas={thetas} e_is={e_is}"
+
+
+def _check_multi_n1(p, m, rng, spec):
+    """One-block multi solver vs the single-block solver."""
+    sol = multi_block.iterative_solver(multi_block.MultiBlockProblem(p, (p.g,), m))
+    cand, _ = single_block.algorithm1(p, m)
+    return abs(sol.total_bits_per_use - cand.objective), f"params={p}"
+
+
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     theta_points, e_points = _parse_grid(args.grid)
     spec = oracle.GridSpec(theta_points=theta_points, e_points=e_points)
-    scale = args.tol_scale
     models = [theta_log_theta_model(), power_law_model(c=1.0, p=2.0)]
+    half = max(args.instances // 2, 1)
+    # (table name, instances, tolerance, FAIL label, check); each instance
+    # draws its params from rng, then the check draws what else it needs.
+    checks = (
+        ("algorithm1-vs-grid", args.instances, 1e-3, "p2", _check_p2),
+        ("p8-vs-grid", half, 1e-3, "p8", _check_p8),
+        ("lp-vs-vertices", max(args.instances, 20), 1e-10, "lp", _check_lp),
+        ("multi-n1-vs-single", half, 1e-6, "multi/single", _check_multi_n1),
+    )
     failures: list[str] = []
     table: list[tuple[str, int, float, float]] = []
-
-    # Single-block solver vs dense grid search.
-    worst = 0.0
-    for i in range(args.instances):
-        p = _random_params(rng)
-        m = models[i % 2]
-        cand, _ = single_block.algorithm1(p, m)
-        _, _, grid_best = oracle.grid_search_p2(p, m, spec)
-        err = abs(cand.objective - grid_best)
-        worst = max(worst, err)
-        if err > 1e-3 * scale:
-            failures.append(f"p2 mismatch err={err:.3e} params={p} model={m.name}")
-    table.append(("algorithm1-vs-grid", args.instances, worst, 1e-3 * scale))
-
-    # Normalized box problem vs dense grid search.
-    worst = 0.0
-    for i in range(max(args.instances // 2, 1)):
-        p = _random_params(rng)
-        m = models[i % 2]
-        theta_dot, e_dot = multi_block.solve_p8(p, m)
-        value = single_block.objective(theta_dot, e_dot, p, m, budget=1.0)
-        _, _, grid_best = oracle.grid_search_p8(p, m, spec)
-        err = abs(value - grid_best)
-        worst = max(worst, err)
-        if err > 1e-3 * scale:
-            failures.append(f"p8 mismatch err={err:.3e} params={p} model={m.name}")
-    table.append(("p8-vs-grid", max(args.instances // 2, 1), worst, 1e-3 * scale))
-
-    # Transfer LP vs vertex enumeration.
-    worst = 0.0
-    lp_count = max(args.instances, 20)
-    for i in range(lp_count):
-        p = _random_params(rng)
-        m = models[i % 2]
-        n = int(rng.integers(1, 5))
-        g_list = tuple(rng.uniform(0.0, p.eta * p.e_avg) for _ in range(n))
-        prob = multi_block.MultiBlockProblem(p, g_list, m)
-        thetas = [float(rng.uniform(1.01, 5.0)) for _ in range(n)]
-        e_is = [float(rng.uniform(0.01 * p.e_lim, p.e_lim)) for _ in range(n)]
-        cost = [
-            single_block.objective(t, e, p, m, budget=1.0) for t, e in zip(thetas, e_is)
-        ]
-        schedule = multi_block.lp_step(prob, thetas, e_is)
-        status, vertex = oracle.enumerate_lp_vertices(prob, thetas, e_is)
-        if status != "optimal":
-            failures.append(f"lp enumeration status={status} params={p}")
-            continue
-        err = abs(
-            sum(c * t for c, t in zip(cost, schedule.t_list))
-            - sum(c * t for c, t in zip(cost, vertex.t_list))
-        )
-        worst = max(worst, err)
-        if err > 1e-10 * scale:
-            failures.append(
-                f"lp mismatch err={err:.3e} params={p} g_list={g_list} "
-                f"thetas={thetas} e_is={e_is}"
-            )
-    table.append(("lp-vs-vertices", lp_count, worst, 1e-10 * scale))
-
-    # Single-block equivalence of the one-block multi solver.
-    worst = 0.0
-    eq_count = max(args.instances // 2, 1)
-    for i in range(eq_count):
-        p = _random_params(rng)
-        m = models[i % 2]
-        prob = multi_block.MultiBlockProblem(p, (p.g,), m)
-        sol = multi_block.iterative_solver(prob)
-        cand, _ = single_block.algorithm1(p, m)
-        err = abs(sol.total_bits_per_use - cand.objective)
-        worst = max(worst, err)
-        if err > 1e-6 * scale:
-            failures.append(f"multi/single mismatch err={err:.3e} params={p}")
-    table.append(("multi-n1-vs-single", eq_count, worst, 1e-6 * scale))
+    for name, count, tol, label, check in checks:
+        worst = 0.0
+        for i in range(count):
+            err, detail = check(_random_params(rng), models[i % 2], rng, spec)
+            if err is None:
+                failures.append(detail)
+                continue
+            worst = max(worst, err)
+            if err > tol:
+                failures.append(f"{label} mismatch err={err:.3e} {detail}")
+        table.append((name, count, worst, tol))
 
     print(f"{'check':24s} {'instances':>9s} {'max_err':>12s} {'tolerance':>12s} result")
     for name, count, err, tol in table:
@@ -385,43 +390,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve-single", help="solve one block")
-    _add_param_flags(sp)
+    _add_param_flags(sp, "eta", "g", "e_avg", "e_lim")
     sp.set_defaults(func=cmd_solve_single)
 
     sp = sub.add_parser("solve-multi", help="solve a multi-block problem")
-    _add_param_flags(sp)
+    _add_param_flags(sp, "eta", "e_avg", "e_lim")
+    overheads = sp.add_mutually_exclusive_group()
+    overheads.add_argument("--g", type=float, default=_PARAM_DEFAULTS["g"])
+    overheads.add_argument("--g-list", dest="g_list", default=None)
     sp.add_argument("--blocks", type=int, default=None)
-    sp.add_argument("--g-list", dest="g_list", default=None)
     sp.set_defaults(func=cmd_solve_multi)
 
     sp = sub.add_parser("sweep-single", help="optimized vs constant-power sweep")
-    _add_param_flags(sp)
+    _add_param_flags(sp, "eta", "g", "e_lim")
     sp.add_argument("--sweep", action="append", required=True)
     sp.set_defaults(func=cmd_sweep_single)
 
     sp = sub.add_parser("region-map", help="winning-case map over (e_lim, e_avg)")
-    _add_param_flags(sp)
+    _add_param_flags(sp, "eta", "g")
     sp.add_argument("--sweep", action="append", required=True)
     sp.set_defaults(func=cmd_region_map)
 
     sp = sub.add_parser("sweep-multi", help="bound vs solver over e_avg")
-    _add_param_flags(sp)
+    _add_param_flags(sp, "eta", "g", "e_lim")
     sp.add_argument("--blocks", type=int, default=4)
     sp.add_argument("--sweep", action="append", required=True)
     sp.set_defaults(func=cmd_sweep_multi)
 
     sp = sub.add_parser("verify", help="oracle-vs-solver comparisons")
-    _add_param_flags(sp)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--instances", type=int, default=20)
     sp.add_argument("--grid", default="500x500")
-    sp.add_argument(
-        "--tol-scale",
-        dest="tol_scale",
-        type=float,
-        default=1.0,
-        help="scale all verification tolerances (test hook)",
-    )
     sp.set_defaults(func=cmd_verify)
     return parser
 

@@ -79,8 +79,6 @@ def power_law_model(c: float = 1.0, p: float = 2.0) -> DecoderEnergyModel:
 
     def evaluate(theta):
         t = _check_theta(theta)
-        if isinstance(t, float):
-            return c * (t - 1.0) ** p
         return c * (t - 1.0) ** p
 
     def derivative(theta):

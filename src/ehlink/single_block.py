@@ -86,14 +86,12 @@ class SystemParams:
        transfer variable, which may be negative.
     e_avg: average-power energy budget per channel use.
     e_lim: peak-power energy cap per channel use.
-    n: channel uses per block, reporting only.
     """
 
     eta: float
     g: float
     e_avg: float
     e_lim: float
-    n: int = 1
 
     def __post_init__(self):
         for name in ("eta", "g", "e_avg", "e_lim"):
@@ -106,8 +104,6 @@ class SystemParams:
             raise ValueError("need 0 <= e_avg < e_lim")
         if self.eta * self.e_avg - self.g < -1e-12:
             raise ValueError("need eta * e_avg >= g (harvest must cover overhead)")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
 
     def validate(self) -> "SystemParams":
         """Extra checks for user-facing inputs."""
@@ -137,7 +133,6 @@ class FullSolution:
     e_i: float
     theta: float
     bits_per_use: float
-    total_bits: float
 
 
 def objective(
@@ -371,12 +366,12 @@ def recover_full(
     rate = (theta - 1.0) / theta * capacity(e_i)
     e_e = (energy * p.e_avg + p.g * e_i) / denom
     bits = (1.0 - alpha) * rate
-    return FullSolution(alpha, rate, e_e, e_i, theta, bits, bits * p.n)
+    return FullSolution(alpha, rate, e_e, e_i, theta, bits)
 
 
 def _zero_solution(p: SystemParams) -> tuple[CandidateSolution, FullSolution]:
     cand = CandidateSolution(1.0, 0.0, Case.TRADE_OFF, 0.0)
-    full = FullSolution(1.0, 0.0, p.e_avg, 0.0, 1.0, 0.0, 0.0)
+    full = FullSolution(1.0, 0.0, p.e_avg, 0.0, 1.0, 0.0)
     return cand, full
 
 

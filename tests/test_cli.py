@@ -1,7 +1,11 @@
 """Command-line interface tests: output format, determinism, round trips
 against the library, and error handling."""
 
+import argparse
+import dataclasses
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +217,10 @@ class TestSweeps:
             (["solve-multi", "--g-list", "0.1,x"], "--g-list entry must be a number, got 'x'"),
             (["solve-single", "--ed-model", "power-law:c=1,p=x"],
              "power-law p must be a number, got 'x'"),
+            (["sweep-single", "--sweep", "e_avg:0:1e308:1e-308"],
+             "e_avg sweep has more than 1000000 points: (stop - start) / step = inf"),
+            (["sweep-single", "--sweep", "e_avg:0:1:1e-9"],
+             "e_avg sweep has more than 1000000 points: (stop - start) / step = 1e+09"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -247,15 +255,20 @@ class TestVerify:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
-    def test_fails_when_tolerances_are_squeezed(self, capsys):
+    def test_fails_when_a_solver_is_broken(self, capsys, monkeypatch):
+        solve = single_block.algorithm1
+
+        def worse(p, m):
+            cand, full = solve(p, m)
+            return dataclasses.replace(cand, objective=0.9 * cand.objective), full
+
+        monkeypatch.setattr(cli.single_block, "algorithm1", worse)
         code, out, err = run_cli(
-            capsys,
-            "verify",
-            "--seed", "42", "--instances", "8", "--grid", "400x400",
-            "--tol-scale", "1e-12",
+            capsys, "verify", "--seed", "42", "--instances", "8", "--grid", "400x400"
         )
         assert code == 1
-        assert "FAIL" in out + err
+        assert "algorithm1-vs-grid" in out and "FAIL" in out
+        assert "FAIL p2 mismatch err=" in err
 
 
 class TestErrorHandling:
@@ -310,3 +323,84 @@ class TestErrorHandling:
     def test_unknown_flag_nonzero_exit(self, capsys):
         code, _, _ = run_cli(capsys, "solve-single", "--bogus", "1")
         assert code != 0
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# A fast, valid invocation of each command, and per option a value that
+# differs from both the default and the base invocation.
+BASE_ARGV = {
+    "solve-single": [],
+    "solve-multi": ["--blocks", "2"],
+    "sweep-single": ["--sweep", "e_avg:0.5:1.0:0.5"],
+    "region-map": ["--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0.5:1.5:0.5"],
+    "sweep-multi": ["--blocks", "2", "--sweep", "e_avg:0.5:1.0:0.5"],
+    "verify": ["--instances", "2", "--grid", "20x20"],
+}
+CHANGED = {
+    "--eta": "0.7",
+    "--g": "0.05",
+    "--e-avg": "0.8",
+    "--e-lim": "2.5",
+    "--ed-model": "power-law:c=1,p=2",
+    "--out": None,  # a file path: stdout goes empty
+    "--blocks": "3",
+    "--g-list": "0.1,0.0",
+    "--sweep": "e_avg:0.25:1.0:0.25",
+    "--seed": "7",
+    "--instances": "3",
+    "--grid": "30x30",
+}
+OPTIONS = [
+    (command, action.option_strings[-1])
+    for command, sp in _subparsers().items()
+    for action in sp._actions
+    if action.option_strings and action.dest != "help"
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, option", OPTIONS)
+    def test_every_option_changes_output(self, capsys, tmp_path, command, option):
+        base = [command, *BASE_ARGV[command]]
+        value = CHANGED[option] or str(tmp_path / "out.csv")
+        base_code, base_out, _ = run_cli(capsys, *base)
+        code, out, _ = run_cli(capsys, *base, option, value)
+        assert base_code in (0, 1)
+        assert code == 2 or out != base_out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-single", "--n", "7"],
+            ["solve-multi", "--n", "7"],
+            ["solve-multi", "--g", "100", "--g-list", "0.1,0.1"],
+            ["sweep-single", "--e-avg", "1", "--sweep", "e_avg:0.5:1:0.5"],
+            ["sweep-multi", "--e-avg", "1", "--sweep", "e_avg:0.5:1:0.5"],
+            ["region-map", "--e-avg", "1", "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0.5:1:0.5"],
+            ["region-map", "--e-lim", "2", "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0.5:1:0.5"],
+            ["verify", "--ed-model", "power-law:c=9,p=3"],
+            ["verify", "--out", "f.txt"],
+            ["verify", "--eta", "0.7"],
+            ["verify", "--tol-scale", "1e-12"],
+        ],
+    )
+    def test_removed_flags_are_argparse_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ehlink")
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        examples = [
+            shlex.split(line) for line in block.splitlines() if line.startswith("ehlink ")
+        ]
+        assert len(examples) >= len(_subparsers())
+        parser = cli.build_parser()
+        for argv in examples:
+            parser.parse_args(argv[1:])

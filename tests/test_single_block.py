@@ -58,8 +58,6 @@ class TestSystemParams:
             SystemParams(eta=0.5, g=0.0, e_avg=2.0, e_lim=2.0)
         with pytest.raises(ValueError):
             SystemParams(eta=0.5, g=1.0, e_avg=1.0, e_lim=2.0)
-        with pytest.raises(ValueError):
-            SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=2.0, n=0)
 
     @pytest.mark.parametrize("name", ["eta", "g", "e_avg", "e_lim"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -346,11 +344,6 @@ class TestRecoverFull:
         assert f.bits_per_use == pytest.approx(
             objective(2.0, 1.0, P_REF, MODEL), abs=1e-14
         )
-
-    def test_total_bits_scale_with_block_length(self):
-        p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0, n=1000)
-        f = recover_full(2.0, 1.0, p, MODEL)
-        assert f.total_bits == pytest.approx(1000 * f.bits_per_use, rel=1e-15)
 
     def test_rejects_pairs_needing_alpha_outside_unit(self):
         with pytest.raises(InfeasibleRecoveryError):
