@@ -12,7 +12,6 @@ from .decoder_energy import (
 from .multi_block import (
     MultiBlockProblem,
     MultiBlockSolution,
-    TransferSchedule,
     construct_schedule,
     g_dot,
     iterative_solver,

@@ -163,7 +163,7 @@ def cmd_solve_multi(args) -> int:
         fields = [
             i + 1,
             g_list[i],
-            sol.schedule.t_list[i],
+            sol.transfers[i],
             case.value,
             full.theta,
             full.e_i,
@@ -327,13 +327,13 @@ def _check_lp(p, m, rng, spec):
     thetas = [float(rng.uniform(1.01, 5.0)) for _ in range(n)]
     e_is = [float(rng.uniform(0.01 * p.e_lim, p.e_lim)) for _ in range(n)]
     cost = [single_block.objective(t, e, p, m, budget=1.0) for t, e in zip(thetas, e_is)]
-    schedule = multi_block.lp_step(prob, thetas, e_is)
+    transfers = multi_block.lp_step(prob, thetas, e_is)
     status, vertex = oracle.enumerate_lp_vertices(prob, thetas, e_is)
     if status != "optimal":
         return None, f"lp enumeration status={status} params={p}"
     err = abs(
-        sum(c * t for c, t in zip(cost, schedule.t_list))
-        - sum(c * t for c, t in zip(cost, vertex.t_list))
+        sum(c * t for c, t in zip(cost, transfers))
+        - sum(c * t for c, t in zip(cost, vertex))
     )
     return err, f"params={p} g_list={g_list} thetas={thetas} e_is={e_is}"
 
@@ -346,6 +346,10 @@ def _check_multi_n1(p, m, rng, spec):
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     theta_points, e_points = _parse_grid(args.grid)
     spec = oracle.GridSpec(theta_points=theta_points, e_points=e_points)

@@ -33,7 +33,6 @@ from .single_block import (
 
 __all__ = [
     "MultiBlockProblem",
-    "TransferSchedule",
     "MultiBlockSolution",
     "LpInfeasibleError",
     "ScheduleConditionError",
@@ -47,7 +46,6 @@ __all__ = [
     "threshold_u",
 ]
 
-_SCHEDULE_TOL = 1e-10
 _BOUND_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-9
 _MAX_ITERATIONS = 200
@@ -87,18 +85,10 @@ class MultiBlockProblem:
 
 
 @dataclass(frozen=True)
-class TransferSchedule:
-    t_list: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
-
-
-@dataclass(frozen=True)
 class MultiBlockSolution:
     per_block: tuple[FullSolution, ...]
     cases: tuple[Case, ...]
-    schedule: TransferSchedule
+    transfers: tuple[float, ...]
     total_bits_per_use: float
     bound: float
     bound_achieved: bool
@@ -157,7 +147,7 @@ def theorem2_condition(prob: MultiBlockProblem, gdot: float | None = None) -> bo
     return True
 
 
-def construct_schedule(prob: MultiBlockProblem, gdot: float | None = None) -> TransferSchedule:
+def construct_schedule(prob: MultiBlockProblem, gdot: float | None = None) -> tuple[float, ...]:
     """Constructive transfer schedule achieving the upper bound.
 
     T_1 = max(0, g_dot - g_1); T_i = max(-prefix, g_dot - g_i) afterwards.
@@ -169,33 +159,23 @@ def construct_schedule(prob: MultiBlockProblem, gdot: float | None = None) -> Tr
     if not theorem2_condition(prob, gdot):
         raise ScheduleConditionError("suffix-sum condition not met")
     if gdot == -math.inf:
-        return TransferSchedule((0.0,) * prob.n_blocks)
+        return (0.0,) * prob.n_blocks
     transfers: list[float] = []
     prefix = 0.0
     for i, g in enumerate(prob.g_list):
-        t = max(0.0, gdot - g) if i == 0 else max(-prefix, gdot - g)
+        t = float(max(0.0, gdot - g) if i == 0 else max(-prefix, gdot - g))
         transfers.append(t)
         prefix += t
-    return TransferSchedule(tuple(transfers))
+    return tuple(transfers)
 
 
 def _lp_constraints(prob: MultiBlockProblem, thetas, e_is):
     """Inequality system A x <= b for the transfer polytope."""
     p, m = prob.params, prob.model
     n = prob.n_blocks
-    rows, rhs = [], []
-    # Prefix sums >= 0.
-    for k in range(n):
-        row = np.zeros(n)
-        row[: k + 1] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    # T_i <= eta*e_avg - g_i.
-    for i in range(n):
-        row = np.zeros(n)
-        row[i] = 1.0
-        rows.append(row)
-        rhs.append(p.eta * p.e_avg - prob.g_list[i])
+    # Prefix sums >= 0, then T_i <= eta*e_avg - g_i.
+    rows = [np.tril(np.full((n, n), -1.0)), np.eye(n)]
+    rhs = [np.zeros(n), p.eta * p.e_avg - np.array(prob.g_list)]
     # Boundary feasibility of the fixed per-block pair, linear in T_i;
     # vacuous when e_i = e_lim.
     for i in range(n):
@@ -208,14 +188,14 @@ def _lp_constraints(prob: MultiBlockProblem, thetas, e_is):
             - prob.g_list[i] * gap
             - m.evaluate(thetas[i]) * (p.e_lim - p.e_avg)
         )
-        row = np.zeros(n)
-        row[i] = -gap
+        row = np.zeros((1, n))
+        row[0, i] = -gap
         rows.append(row)
-        rhs.append(-lower)
-    return np.array(rows), np.array(rhs)
+        rhs.append([-lower])
+    return np.vstack(rows), np.concatenate(rhs)
 
 
-def lp_step(prob: MultiBlockProblem, thetas, e_is) -> TransferSchedule:
+def lp_step(prob: MultiBlockProblem, thetas, e_is) -> tuple[float, ...]:
     """Optimal transfers for fixed per-block (theta_i, e_i).
 
     Minimizes sum_i o_i * T_i over the transfer polytope, where o_i is block
@@ -231,45 +211,26 @@ def lp_step(prob: MultiBlockProblem, thetas, e_is) -> TransferSchedule:
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise LpInfeasibleError(f"transfer LP failed: {res.message}")
-    best = np.asarray(res.x, dtype=float)
+    best = res.x
     value = float(cost @ best)
     # Lexicographic tie-break: pin the objective, then minimize coordinates
-    # in order.  Fall back to the plain optimum if the chain degrades.
-    a_eq = [cost.copy()]
-    b_eq = [value]
-    pinned = best.copy()
-    ok = True
-    for i in range(n):
-        unit = np.zeros(n)
-        unit[i] = 1.0
-        res_i = linprog(
-            unit,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=np.array(a_eq),
-            b_eq=np.array(b_eq),
-            bounds=bounds,
-            method="highs",
+    # in order.  Keep the plain optimum if the chain fails or its point
+    # leaves the polytope or the optimal face.
+    a_eq, b_eq = [cost], [value]
+    for unit in np.eye(n):
+        tie = linprog(
+            unit, A_ub=a_ub, b_ub=b_ub, A_eq=np.array(a_eq), b_eq=np.array(b_eq),
+            bounds=bounds, method="highs",
         )
-        if not res_i.success:
-            ok = False
+        if not tie.success:
             break
-        pinned = np.asarray(res_i.x, dtype=float)
         a_eq.append(unit)
-        b_eq.append(float(res_i.fun))
-    if ok:
-        slack = a_ub @ pinned - b_ub
-        if np.all(slack <= 1e-9) and abs(cost @ pinned - value) <= 1e-10 * max(
-            1.0, abs(value)
-        ):
-            best = pinned
-    return TransferSchedule(tuple(float(t) for t in best))
-
-
-def _effective_params(p: SystemParams, g_eff: float) -> SystemParams:
-    # Clamp roundoff past the zero-budget point; g_eff may be negative.
-    g_eff = min(g_eff, p.eta * p.e_avg)
-    return replace(p, g=g_eff)
+        b_eq.append(float(tie.fun))
+    else:
+        slack = a_ub @ tie.x - b_ub
+        if np.all(slack <= 1e-9) and abs(cost @ tie.x - value) <= 1e-10 * max(1.0, abs(value)):
+            best = tie.x
+    return tuple(float(t) for t in best)
 
 
 def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
@@ -285,39 +246,37 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     gdot = g_dot(p, m)
     bound = upper_bound(prob)
     condition = theorem2_condition(prob, gdot)
-    schedule = (
-        construct_schedule(prob, gdot) if condition else TransferSchedule((0.0,) * n)
-    )
+    transfers = construct_schedule(prob, gdot) if condition else (0.0,) * n
 
-    transfers = np.array(schedule.t_list)
     prev_total = -math.inf
     blocks: list[tuple] = []
     total = 0.0
     for _ in range(_MAX_ITERATIONS):
-        blocks = []
+        # Block i solves with overhead g_i + T_i, clamped against roundoff
+        # past the zero-budget point; it may be negative.
+        blocks = [
+            algorithm1(replace(p, g=min(g + t, p.eta * p.e_avg)), m)
+            for g, t in zip(prob.g_list, transfers)
+        ]
         total = 0.0
-        for i in range(n):
-            p_i = _effective_params(p, prob.g_list[i] + transfers[i])
-            cand, full = algorithm1(p_i, m)
-            blocks.append((p_i, cand, full))
+        for cand, _ in blocks:
             total += cand.objective
         if total < prev_total - 1e-9:
             raise SolverError("objective decreased across iterations")
         if total - prev_total < _CONVERGENCE_TOL:
             break
         prev_total = total
-        thetas = [cand.theta for _, cand, _ in blocks]
-        e_is = [cand.e_i for _, cand, _ in blocks]
+        thetas = [cand.theta for cand, _ in blocks]
+        e_is = [cand.e_i for cand, _ in blocks]
         try:
-            new_schedule = lp_step(prob, thetas, e_is)
+            transfers = lp_step(prob, thetas, e_is)
         except LpInfeasibleError:
             break
-        transfers = np.array(new_schedule.t_list)
 
     return MultiBlockSolution(
-        per_block=tuple(full for _, _, full in blocks),
-        cases=tuple(cand.case_label for _, cand, _ in blocks),
-        schedule=TransferSchedule(tuple(float(t) for t in transfers)),
+        per_block=tuple(full for _, full in blocks),
+        cases=tuple(cand.case_label for cand, _ in blocks),
+        transfers=transfers,
         total_bits_per_use=total,
         bound=bound,
         bound_achieved=abs(total - bound) <= _BOUND_TOL,

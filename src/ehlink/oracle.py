@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import capacity
 from .decoder_energy import DecoderEnergyModel, inverse_energy
-from .multi_block import MultiBlockProblem, TransferSchedule
+from .multi_block import MultiBlockProblem
 from .single_block import SystemParams
 
 __all__ = [
@@ -29,13 +29,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    theta_max: float | None = None
     theta_points: int = 1000
     e_points: int = 1000
 
     def __post_init__(self):
-        if self.theta_max is not None and not self.theta_max > 1:
-            raise ValueError("theta_max must exceed 1")
         if self.theta_points < 2 or self.e_points < 2:
             raise ValueError("grid counts must be >= 2")
 
@@ -60,11 +57,8 @@ def grid_search_p2(
     if the argmax lands on the upper edge); e_i is linear on [0, e_lim].
     """
     budget = p.eta * p.e_avg - p.g
-    if spec.theta_max is not None:
-        theta_max = spec.theta_max
-    else:
-        theta_prime = inverse_energy(m, max(budget, 0.0) / (p.e_lim - p.e_avg) * p.e_lim)
-        theta_max = 2.0 * max(theta_prime, 2.0)
+    theta_prime = inverse_energy(m, max(budget, 0.0) / (p.e_lim - p.e_avg) * p.e_lim)
+    theta_max = 2.0 * max(theta_prime, 2.0)
     e_grid = np.linspace(0.0, p.e_lim, spec.e_points)
     span = p.e_lim - p.e_avg
     k1 = (p.eta * p.e_lim - p.g) / span
@@ -92,7 +86,7 @@ def grid_search_p8(
     not depend on e_avg or g.  The theta range starts at 8 and doubles while
     the argmax sits on the upper edge.
     """
-    theta_max = spec.theta_max if spec.theta_max is not None else 8.0
+    theta_max = 8.0
     e_grid = np.linspace(0.0, p.e_lim, spec.e_points)
     for _ in range(16):
         theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
@@ -141,7 +135,7 @@ def _transfer_polytope(prob: MultiBlockProblem, thetas, e_is):
 
 def enumerate_lp_vertices(
     prob: MultiBlockProblem, thetas, e_is
-) -> tuple[str, TransferSchedule | None]:
+) -> tuple[str, tuple[float, ...] | None]:
     """Exhaustive vertex optimum of the transfer polytope (N <= 4 blocks).
 
     Intersects every choice of N constraints taken as equalities, keeps the
@@ -176,4 +170,4 @@ def enumerate_lp_vertices(
         v for v, val in zip(vertices, values) if val <= best_value + 1e-9
     ]
     best = min(optimal, key=lambda v: tuple(v))
-    return "optimal", TransferSchedule(tuple(float(t) for t in best))
+    return "optimal", tuple(float(t) for t in best)

@@ -341,12 +341,12 @@ def test_criterion_9_lp_exactness():
         thetas = [float(t) for t in rng.uniform(1.01, 5.0, n)]
         e_is = [float(e) for e in rng.uniform(0.01 * p.e_lim, p.e_lim, n)]
         cost = [objective(t, e, p, model, budget=1.0) for t, e in zip(thetas, e_is)]
-        sched = lp_step(prob, thetas, e_is)
+        transfers = lp_step(prob, thetas, e_is)
         status, vertex = enumerate_lp_vertices(prob, thetas, e_is)
         assert status == "optimal"
         diff = abs(
-            sum(c * t for c, t in zip(cost, sched.t_list))
-            - sum(c * t for c, t in zip(cost, vertex.t_list))
+            sum(c * t for c, t in zip(cost, transfers))
+            - sum(c * t for c, t in zip(cost, vertex))
         )
         worst = max(worst, diff)
     ok = worst <= 1e-10

@@ -308,13 +308,19 @@ class TestErrorHandling:
             ["solve-multi", "--blocks", "0"],
             ["solve-multi", "--blocks", "-1", "--g-list", "0.1"],
             ["sweep-multi", "--blocks", "0", "--sweep", "e_avg:0.5:1.0:0.5"],
+            ["verify", "--instances", "-3", "--grid", "20x20"],
+            ["verify", "--instances", "0"],
+            ["verify", "--seed", "-1"],
         ],
     )
     def test_blocks_below_one_rejected(self, capsys, argv):
+        # The counts --blocks and --instances start at 1, --seed at 0.
+        flag, value = argv[1], argv[2]
+        minimum = 0 if flag == "--seed" else 1
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"error: --blocks must be >= 1, got {argv[2]}\n"
+        assert err == f"error: {flag} must be >= {minimum}, got {value}\n"
 
     def test_unknown_model_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve-single", "--ed-model", "nope")

@@ -9,7 +9,6 @@ import pytest
 from ehlink import (
     MultiBlockProblem,
     SystemParams,
-    TransferSchedule,
     algorithm1,
     construct_schedule,
     g_dot,
@@ -124,8 +123,10 @@ class TestTheorem2Condition:
 class TestConstructSchedule:
     def test_worked_example(self):
         prob = MultiBlockProblem(P_FIG, (0.2, 0.0, 0.3, 0.1), MODEL)
-        sched = construct_schedule(prob, gdot=0.1)
-        assert sched.t_list == pytest.approx((0.0, 0.1, -0.1, 0.0), abs=1e-15)
+        transfers = construct_schedule(prob, gdot=0.1)
+        assert transfers == pytest.approx((0.0, 0.1, -0.1, 0.0), abs=1e-15)
+        assert type(transfers) is tuple
+        assert all(type(t) is float for t in transfers)
 
     def test_sums_to_zero_with_nonneg_prefixes(self):
         import numpy as np
@@ -137,10 +138,9 @@ class TestConstructSchedule:
             prob = MultiBlockProblem(P_FIG, gs, MODEL)
             gdot = sum(gs) / n  # suffix condition can still fail
             try:
-                sched = construct_schedule(prob, gdot=gdot)
+                ts = construct_schedule(prob, gdot=gdot)
             except ScheduleConditionError:
                 continue
-            ts = sched.t_list
             assert sum(ts) == pytest.approx(0.0, abs=1e-12)
             prefix = 0.0
             for t, g in zip(ts, gs):
@@ -173,7 +173,9 @@ class TestIterativeSolver:
         sol = iterative_solver(prob)
         cand, _ = algorithm1(p, MODEL)
         assert sol.total_bits_per_use == pytest.approx(cand.objective, abs=1e-9)
-        assert sol.schedule.t_list == pytest.approx((0.0,), abs=1e-9)
+        assert sol.transfers == pytest.approx((0.0,), abs=1e-9)
+        assert type(sol.transfers) is tuple
+        assert all(type(t) is float for t in sol.transfers)
 
     def test_achieves_bound_below_threshold(self):
         u = threshold_u(P_FIG, MODEL, 0.1)
@@ -205,7 +207,7 @@ class TestIterativeSolver:
             no_transfer += cand.objective
         assert sol.total_bits_per_use > no_transfer + 1e-4
         assert sol.bound_achieved
-        assert sol.schedule.t_list[0] == pytest.approx(
+        assert sol.transfers[0] == pytest.approx(
             g_dot(p, MODEL), abs=1e-9
         )
 
@@ -222,10 +224,3 @@ class TestIterativeSolver:
             p = SystemParams(eta=eta, g=0.0, e_avg=e_avg, e_lim=e_lim)
             sol = iterative_solver(MultiBlockProblem(p, gs, MODEL))
             assert sol.total_bits_per_use <= sol.bound + 1e-8
-
-
-class TestTransferSchedule:
-    def test_coerces_to_floats(self):
-        sched = TransferSchedule((1, 2))
-        assert sched.t_list == (1.0, 2.0)
-        assert all(isinstance(t, float) for t in sched.t_list)
