@@ -5,21 +5,17 @@ The crossover probability of the equivalent BSC is Q(sqrt(2*e)) where e is
 the information-signal energy per channel use, and the capacity is
 1 - H2(crossover) bits per channel use.
 
-All functions accept scalars or numpy arrays and are pure.
+All functions take a float and are pure.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy import special
-
 __all__ = ["q_function", "crossover", "capacity", "capacity_derivative"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_4PI = 1.0 / math.sqrt(4.0 * math.pi)
-_LN2 = math.log(2.0)
 
 
 def q_function(x):
@@ -28,26 +24,16 @@ def q_function(x):
     Evaluated through the complementary error function, which is accurate to
     full double precision over the whole real line.
     """
-    if isinstance(x, (float, int)):
-        if not math.isfinite(x):
-            raise ValueError("q_function requires finite input")
-        return 0.5 * math.erfc(x / _SQRT2)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not math.isfinite(x):
         raise ValueError("q_function requires finite input")
-    return 0.5 * special.erfc(x / _SQRT2)
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def crossover(e_i):
     """BSC crossover probability Q(sqrt(2*e_i)) for signal energy e_i >= 0."""
-    if isinstance(e_i, (float, int)):
-        if e_i < 0:
-            raise ValueError("energy per channel use must be >= 0")
-        return q_function(math.sqrt(2.0 * e_i))
-    e_i = np.asarray(e_i, dtype=float)
-    if np.any(e_i < 0):
+    if e_i < 0:
         raise ValueError("energy per channel use must be >= 0")
-    return q_function(np.sqrt(2.0 * e_i))
+    return q_function(math.sqrt(2.0 * e_i))
 
 
 def capacity(e_i):
@@ -57,15 +43,12 @@ def capacity(e_i):
     The 0*log(0) convention is applied so the limit eps -> 0 is exact.
     """
     eps = crossover(e_i)
-    if isinstance(eps, float):
-        if eps <= 0.0:
-            return 1.0
-        if eps >= 0.5:
-            return 0.0
-        c = 1.0 + (eps * math.log2(eps) + (1.0 - eps) * math.log2(1.0 - eps))
-        return min(max(c, 0.0), 1.0)
-    c = 1.0 + (special.xlogy(eps, eps) + special.xlogy(1.0 - eps, 1.0 - eps)) / _LN2
-    return np.clip(c, 0.0, 1.0)
+    if eps <= 0.0:
+        return 1.0
+    if eps >= 0.5:
+        return 0.0
+    c = 1.0 + (eps * math.log2(eps) + (1.0 - eps) * math.log2(1.0 - eps))
+    return min(max(c, 0.0), 1.0)
 
 
 def capacity_derivative(e_i):
@@ -75,23 +58,12 @@ def capacity_derivative(e_i):
     with eps the crossover probability.  The formula is singular at e_i = 0,
     which is rejected; the solvers never need the derivative there.
     """
-    if isinstance(e_i, (float, int)):
-        if e_i <= 0:
-            raise ValueError("capacity_derivative requires e_i > 0")
-        eps = crossover(e_i)
-        return (
-            (math.log2(1.0 - eps) - math.log2(eps))
-            * _INV_SQRT_4PI
-            * math.exp(-e_i)
-            / math.sqrt(e_i)
-        )
-    e_i = np.asarray(e_i, dtype=float)
-    if np.any(e_i <= 0):
+    if e_i <= 0:
         raise ValueError("capacity_derivative requires e_i > 0")
     eps = crossover(e_i)
     return (
-        (np.log2(1.0 - eps) - np.log2(eps))
+        (math.log2(1.0 - eps) - math.log2(eps))
         * _INV_SQRT_4PI
-        * np.exp(-e_i)
-        / np.sqrt(e_i)
+        * math.exp(-e_i)
+        / math.sqrt(e_i)
     )

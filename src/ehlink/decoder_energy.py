@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from scipy import optimize
 
 __all__ = [
@@ -31,7 +30,11 @@ _THETA_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DecoderEnergyModel:
-    """Immutable decoding-energy curve with its derivative."""
+    """Immutable decoding-energy curve with its derivative.
+
+    `evaluate` and `derivative` each take a float theta >= 1 and return a
+    float.
+    """
 
     name: str
     evaluate: Callable
@@ -39,14 +42,9 @@ class DecoderEnergyModel:
 
 
 def _check_theta(theta):
-    if isinstance(theta, (float, int)):
-        if theta < 1.0 - _THETA_SLACK:
-            raise ValueError("theta must be >= 1")
-        return max(float(theta), 1.0)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 1.0 - _THETA_SLACK):
+    if theta < 1.0 - _THETA_SLACK:
         raise ValueError("theta must be >= 1")
-    return np.maximum(theta, 1.0)
+    return max(float(theta), 1.0)
 
 
 def theta_log_theta_model() -> DecoderEnergyModel:
@@ -54,15 +52,11 @@ def theta_log_theta_model() -> DecoderEnergyModel:
 
     def evaluate(theta):
         t = _check_theta(theta)
-        if isinstance(t, float):
-            return t * math.log2(t)
-        return t * np.log2(t)
+        return t * math.log2(t)
 
     def derivative(theta):
         t = _check_theta(theta)
-        if isinstance(t, float):
-            return math.log2(t) + _LOG2E
-        return np.log2(t) + _LOG2E
+        return math.log2(t) + _LOG2E
 
     return DecoderEnergyModel("theta-log-theta", evaluate, derivative)
 

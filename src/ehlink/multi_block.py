@@ -239,7 +239,8 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     Initialized from the constructive schedule when the suffix-sum condition
     holds (the first pass is then already optimal), otherwise from zeros.
     The objective is non-decreasing across steps; convergence is declared on
-    an improvement below 1e-9.
+    an improvement below 1e-9.  An infeasible transfer LP raises
+    `LpInfeasibleError`.
     """
     p, m = prob.params, prob.model
     n = prob.n_blocks
@@ -268,10 +269,7 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
         prev_total = total
         thetas = [cand.theta for cand, _ in blocks]
         e_is = [cand.e_i for cand, _ in blocks]
-        try:
-            transfers = lp_step(prob, thetas, e_is)
-        except LpInfeasibleError:
-            break
+        transfers = lp_step(prob, thetas, e_is)
 
     return MultiBlockSolution(
         per_block=tuple(full for _, full in blocks),

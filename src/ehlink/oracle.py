@@ -3,18 +3,19 @@
 Dense grid search for the single-block problem and the normalized box
 problem, plus exhaustive vertex enumeration for the transfer LP.  These are
 deliberately slow-and-simple; they exist to certify the fast solvers, so they
-state the objective and the transfer polytope themselves and call no solver
-code (only its data classes are imported).
+state the objective, the BSC capacity over a grid and the transfer polytope
+themselves and call no solver code (only its data classes are imported).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import special
 
-from .channel import capacity
 from .decoder_energy import DecoderEnergyModel, inverse_energy
 from .multi_block import MultiBlockProblem
 from .single_block import SystemParams
@@ -37,9 +38,16 @@ class GridSpec:
             raise ValueError("grid counts must be >= 2")
 
 
+def _capacity(e):
+    """BSC capacity 1 - H2(Q(sqrt(2*e))) over an array of energies e >= 0."""
+    eps = 0.5 * special.erfc(np.sqrt(2.0 * e) / math.sqrt(2.0))
+    c = 1.0 + (special.xlogy(eps, eps) + special.xlogy(1.0 - eps, 1.0 - eps)) / math.log(2.0)
+    return np.clip(c, 0.0, 1.0)
+
+
 def _objective_matrix(theta_grid, e_grid, budget, p, m):
-    cap = capacity(e_grid)
-    energy = m.evaluate(theta_grid)
+    cap = _capacity(e_grid)
+    energy = np.fromiter(map(m.evaluate, theta_grid), float, len(theta_grid))
     factor = (theta_grid - 1.0) / theta_grid
     denom = p.eta * e_grid[None, :] + energy[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -288,7 +288,7 @@ def test_criterion_6_threshold_flip():
 def test_criterion_7_capacity_concavity():
     """Second finite difference of capacity <= 1e-9 on [0.01, 10] at step 1e-3."""
     es = np.arange(0.01, 10.0 + 1e-12, 1e-3)
-    second = np.diff(capacity(es), 2)
+    second = np.diff([capacity(e) for e in es], 2)
     worst = float(np.max(second))
     ok = worst <= 1e-9
     report(

@@ -17,7 +17,7 @@ class TestCurveProperties:
 
     def test_non_decreasing_and_convex(self, model):
         ts = np.linspace(1.0, 50.0, 2000)
-        es = model.evaluate(ts)
+        es = np.array([model.evaluate(t) for t in ts])
         assert np.all(np.diff(es) >= 0)
         assert np.all(np.diff(es, 2) >= -1e-9)
 
@@ -34,7 +34,7 @@ class TestCurveProperties:
         with pytest.raises(ValueError):
             model.evaluate(0.5)
         with pytest.raises(ValueError):
-            model.derivative(np.array([2.0, 0.9]))
+            model.derivative(0.9)
 
 
 class TestThetaLogTheta:

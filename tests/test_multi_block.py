@@ -10,9 +10,11 @@ from ehlink import (
     MultiBlockProblem,
     SystemParams,
     algorithm1,
+    cli,
     construct_schedule,
     g_dot,
     iterative_solver,
+    multi_block,
     objective,
     solve_p8,
     theorem2_condition,
@@ -20,7 +22,7 @@ from ehlink import (
     threshold_u,
     upper_bound,
 )
-from ehlink.multi_block import ScheduleConditionError
+from ehlink.multi_block import LpInfeasibleError, ScheduleConditionError
 
 MODEL = theta_log_theta_model()
 # Reference link for the threshold study: unit efficiency, peak power 4,
@@ -224,3 +226,22 @@ class TestIterativeSolver:
             p = SystemParams(eta=eta, g=0.0, e_avg=e_avg, e_lim=e_lim)
             sol = iterative_solver(MultiBlockProblem(p, gs, MODEL))
             assert sol.total_bits_per_use <= sol.bound + 1e-8
+
+    def test_lp_failure_propagates(self, monkeypatch, capsys):
+        # A failed transfer LP is a typed error, never a silent stop.
+        def infeasible(prob, thetas, e_is):
+            raise LpInfeasibleError("transfer LP failed: patched")
+
+        monkeypatch.setattr(multi_block, "lp_step", infeasible)
+        p = SystemParams(eta=1.0, g=0.0, e_avg=3.0, e_lim=4.0)
+        prob = MultiBlockProblem(p, (0.1, 0.5), MODEL)
+        assert not theorem2_condition(prob)
+        with pytest.raises(LpInfeasibleError):
+            iterative_solver(prob)
+        code = cli.main(
+            ["solve-multi", "--eta", "1", "--e-avg", "3", "--e-lim", "4", "--g-list", "0.1,0.5"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: transfer LP failed")

@@ -9,6 +9,7 @@ from ehlink import (
     MultiBlockProblem,
     SystemParams,
     algorithm1,
+    capacity,
     lp_step,
     objective,
     oracle,
@@ -24,17 +25,27 @@ P_REF = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
 
 
 def test_oracle_binds_no_solver_function():
-    # The oracles certify single_block and multi_block, so they may share
-    # those modules' data classes but none of their code.
+    # The oracles certify single_block, multi_block and the channel those
+    # solvers use, so they may share the solver modules' data classes but
+    # none of their code.  decoder_energy is allowed: the model is an input.
     borrowed = [
         name
         for name, value in vars(oracle).items()
         if callable(value)
         and not inspect.isclass(value)
         and getattr(value, "__module__", None)
-        in ("ehlink.single_block", "ehlink.multi_block")
+        in ("ehlink.single_block", "ehlink.multi_block", "ehlink.channel")
     ]
     assert borrowed == []
+
+
+def test_grid_capacity_matches_channel():
+    # The oracle's array capacity and the solvers' scalar one are two
+    # independent implementations of the same formula.
+    grid = np.concatenate([np.linspace(0.0, 60.0, 20001), np.geomspace(1e-12, 1e3, 10001)])
+    np.testing.assert_allclose(
+        oracle._capacity(grid), [capacity(e) for e in grid], rtol=1e-14, atol=1e-15
+    )
 
 
 class TestGridSpec:
