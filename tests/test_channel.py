@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from ehlink import capacity, capacity_derivative, crossover, q_function
+from ehlink import capacity, capacity_derivative, crossover, oracle, q_function
 
 
 class TestQFunction:
@@ -27,6 +28,16 @@ class TestQFunction:
     def test_reflection_identity(self):
         for x in (0.3, 1.0, 2.5):
             assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-14)
+
+    def test_array_matches_scalar(self):
+        # The channel is scalar-only; the array side is the erfc form the
+        # oracle evaluates over its grid.
+        xs = np.array([-1.0, 0.0, 0.5, 2.0])
+        np.testing.assert_allclose(
+            0.5 * special.erfc(xs / math.sqrt(2.0)),
+            [q_function(float(x)) for x in xs],
+            rtol=1e-15,
+        )
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -78,6 +89,13 @@ class TestCapacity:
         cs = np.array([capacity(e) for e in es])
         second = np.diff(cs, 2)
         assert np.max(second) <= 1e-9
+
+    def test_array_matches_scalar(self):
+        # The array side is the oracle's own grid capacity.
+        es = np.array([0.0, 0.3, 1.0, 6.0])
+        np.testing.assert_allclose(
+            oracle._capacity(es), [capacity(float(e)) for e in es], rtol=1e-14, atol=1e-15
+        )
 
 
 class TestCapacityDerivative:
