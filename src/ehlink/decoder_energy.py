@@ -10,11 +10,12 @@ c*(theta-1)^p for exercising solver generality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import optimize
+from .roots import brentq
 
 __all__ = [
     "DecoderEnergyModel",
@@ -82,10 +83,13 @@ def power_law_model(c: float = 1.0, p: float = 2.0) -> DecoderEnergyModel:
     return DecoderEnergyModel(f"power-law:c={c:g},p={p:g}", evaluate, derivative)
 
 
+@functools.cache
 def parse_model(spec: str) -> DecoderEnergyModel:
-    """Build a model from a CLI spec string.
+    """Build a model from a CLI spec string; one model object per spec.
 
     Accepted forms: ``theta-log-theta`` or ``power-law:c=<float>,p=<float>``.
+    A repeated spec returns the same (frozen) model, so solver memos keyed
+    on the model carry over between calls.  Rejected specs are not cached.
     """
     spec = spec.strip()
     if spec == "theta-log-theta":
@@ -112,7 +116,7 @@ def parse_model(spec: str) -> DecoderEnergyModel:
 def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
     """Return theta >= 1 with model.evaluate(theta) == target.
 
-    Monotone bisection (Brent) after doubling the bracket from theta = 1;
+    Brent's method (`roots.brentq`) on [1, hi] after doubling hi from 2;
     existence is guaranteed by the model growing without bound.
     """
     if target < 0:
@@ -120,15 +124,17 @@ def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
     if target == 0.0:
         return 1.0
     hi = 2.0
-    while model.evaluate(hi) < target:
+    e_hi = model.evaluate(hi)
+    while e_hi < target:
         hi *= 2.0
         if hi > 1e13:
             raise RuntimeError(
                 "decoder energy model failed to reach target; unbounded-growth "
                 "property violated"
             )
-    return float(
-        optimize.brentq(
-            lambda t: model.evaluate(t) - target, 1.0, hi, xtol=1e-13, rtol=8.9e-16
-        )
-    )
+        e_hi = model.evaluate(hi)
+
+    def f(t: float) -> float:
+        return model.evaluate(t) - target
+
+    return brentq(f, 1.0, hi, f(1.0), e_hi - target, xtol=1e-13, rtol=8.9e-16)

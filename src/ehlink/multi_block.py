@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .decoder_energy import DecoderEnergyModel
 from .single_block import (
@@ -49,6 +48,13 @@ __all__ = [
 _BOUND_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-9
 _MAX_ITERATIONS = 200
+
+
+def linprog(*args, **kwargs):
+    """scipy's `linprog`, imported on first call: single-block commands load no scipy."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 class LpInfeasibleError(RuntimeError):

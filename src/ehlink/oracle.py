@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import special
 
 from .decoder_energy import DecoderEnergyModel, inverse_energy
 from .multi_block import MultiBlockProblem
@@ -40,6 +39,8 @@ class GridSpec:
 
 def _capacity(e):
     """BSC capacity 1 - H2(Q(sqrt(2*e))) over an array of energies e >= 0."""
+    from scipy import special
+
     eps = 0.5 * special.erfc(np.sqrt(2.0 * e) / math.sqrt(2.0))
     c = 1.0 + (special.xlogy(eps, eps) + special.xlogy(1.0 - eps, 1.0 - eps)) / math.log(2.0)
     return np.clip(c, 0.0, 1.0)

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .channel import capacity, capacity_derivative
 from .decoder_energy import DecoderEnergyModel, inverse_energy
+from .roots import brentq
 
 __all__ = [
     "Case",
@@ -181,17 +181,21 @@ def n_function(e_i: float, theta: float, p: SystemParams, m: DecoderEnergyModel)
 
 def _theta_star(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Unique root of M(theta) = 0 for fixed e_i > 0."""
+
+    def f(t: float) -> float:
+        return m_function(t, e_i, p, m)
+
     lo, hi = 1.0, 2.0
-    while m_function(hi, e_i, p, m) > 0.0:
-        lo = hi
+    f_lo, f_hi = None, f(hi)
+    while f_hi > 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > _THETA_CAP:
             raise SolverError("no M-root below theta = 1e12; energy model suspect")
-    return float(
-        optimize.brentq(
-            lambda t: m_function(t, e_i, p, m), lo, hi, xtol=1e-12, rtol=8.9e-16
-        )
-    )
+        f_hi = f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def _theta0(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
@@ -209,21 +213,24 @@ def solve_lemma3(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
 
 def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Unique root of N(e) = 0 for fixed theta > 1."""
+
+    def f(e: float) -> float:
+        return n_function(e, theta, p, m)
+
     lo, hi = 1e-12, 1.0
-    if n_function(lo, theta, p, m) <= 0.0:
+    f_lo = f(lo)
+    if f_lo <= 0.0:
         # Root sits essentially at 0; cannot happen for theta > 1 with a
         # property-(1)/(2) model, so treat as solver failure.
         raise SolverError("N(0+) <= 0; energy model suspect")
-    while n_function(hi, theta, p, m) > 0.0:
-        lo = hi
+    f_hi = f(hi)
+    while f_hi > 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > _E_CAP:
             raise SolverError("no N-root below e = 100; energy model suspect")
-    return float(
-        optimize.brentq(
-            lambda e: n_function(e, theta, p, m), lo, hi, xtol=1e-14, rtol=8.9e-16
-        )
-    )
+        f_hi = f(hi)
+    return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def _e0(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
@@ -308,7 +315,8 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
     On that boundary e_i is an affine decreasing function of E(theta); the
     one-dimensional objective has non-increasing derivative proportional to
     h(theta), positive at theta = 1 and negative at theta' (where the
-    boundary meets e_i = 0), so a single bisection finds the optimum.
+    boundary meets e_i = 0), so one bracketed root find (`roots.brentq`)
+    gives the optimum.
     Returns None when no interior root exists (degenerate bracket).
     """
     if p.budget <= 0.0:
@@ -326,22 +334,25 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
         gap = p.e_lim - e
         return gap * c + q * gap * c_prime + q * c * e_prime
 
-    if h(1.0) <= 0.0:
+    h_one = h(1.0)
+    if h_one <= 0.0:
         return None
     theta_prime = inverse_energy(m, p.budget / (p.e_lim - p.e_avg) * p.e_lim)
     gap = max(1e-12, 1e-9 * (theta_prime - 1.0))
     hi = theta_prime - gap
-    while hi > 1.0 and h(hi) > 0.0:
+    h_hi = h(hi) if hi > 1.0 else math.nan  # h is defined for theta >= 1 only
+    while hi > 1.0 and h_hi > 0.0:
         gap *= 1e-2
         hi = theta_prime - gap
+        h_hi = h(hi) if hi > 1.0 else math.nan
         if gap < 1e-15 * theta_prime:
             # Root indistinguishable from theta'; the boundary candidate has
             # e_i ~ 0 and negligible objective.
             break
-    if not hi > 1.0 or h(hi) > 0.0:
+    if not hi > 1.0 or h_hi > 0.0:
         theta = hi if hi > 1.0 else 1.0 + 1e-12
     else:
-        theta = float(optimize.brentq(h, 1.0, hi, xtol=1e-12, rtol=8.9e-16))
+        theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16)
     e_i = _e0(theta, p, m)
     return CandidateSolution(
         theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)

@@ -4,7 +4,10 @@ against the library, and error handling."""
 import argparse
 import dataclasses
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,11 +230,9 @@ class TestSweeps:
 
 
 class TestDeterminism:
-    def test_cold_and_warm_memo_print_same_csv(self, capsys, monkeypatch):
-        # One model object for both runs, so the second run hits the case
-        # (a)/(b) memo for every key instead of solving for a fresh model.
-        model = theta_log_theta_model()
-        monkeypatch.setattr(cli, "parse_model", lambda spec: model)
+    def test_cold_and_warm_memo_print_same_csv(self, capsys):
+        # parse_model returns one model object per spec, so the second run
+        # hits the case (a)/(b) memo for every key instead of solving again.
         for argv in (
             ["sweep-single", "--eta", "0.5", "--e-lim", "3.0",
              "--sweep", "e_avg:0.2:2.0:0.2"],
@@ -244,6 +245,34 @@ class TestDeterminism:
             _, warm, _ = run_cli(capsys, *argv)
             assert _case_ab_pairs.cache_info().misses == misses
             assert cold == warm
+
+
+class TestImports:
+    def test_single_block_commands_load_no_scipy(self):
+        # A fresh interpreter: the test process itself has scipy loaded.
+        # Single-block commands must not import it; the LP and the oracle
+        # still load it on first use.
+        code = """
+import contextlib, io, sys
+import ehlink.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+run("region-map", "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0.5:1.5:0.5")
+run("sweep-single", "--sweep", "e_avg:0.5:1.0:0.5")
+run("solve-single", "--e-avg", "1.0")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+run("verify", "--instances", "2", "--grid", "50x50")
+run("solve-multi", "--g-list", "0.1,0.0")
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerify:

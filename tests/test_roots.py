@@ -1,0 +1,124 @@
+"""The in-house Brent solver against scipy's: the same float, the same errors."""
+
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
+
+from ehlink.roots import brentq
+
+# The xtol values the solvers use, and scipy's smallest rtol next to theirs.
+XTOLS = (1e-12, 1e-13, 1e-14)
+RTOLS = (8.9e-16, 4.0 * sys.float_info.epsilon)
+
+
+def _linear(r, k, cut):
+    return lambda x: k * (x - r)
+
+
+def _exponential(r, k, cut):
+    return lambda x: math.exp(k * x) - math.exp(k * r)
+
+
+def _cubic(r, k, cut):
+    return lambda x: (r - x) ** 3 + k * (r - x)
+
+
+def _arctan(r, k, cut):
+    return lambda x: math.atan(k * (r - x))
+
+
+def _tiny_cubic(r, k, cut):
+    # Values near 1e-200: products of slopes underflow to 0, where C divides
+    # by zero and then bisects.
+    return lambda x: 1e-200 * ((r - x) ** 3 + k * (r - x))
+
+
+def _minus_inf_beyond_cut(r, k, cut):
+    # Like single_block's h: finite and decreasing up to a point, -inf past it.
+    return lambda x: k * (r - x) * (1.0 + x * x) if x < cut else -math.inf
+
+
+FAMILIES = (_linear, _exponential, _cubic, _tiny_cubic, _arctan, _minus_inf_beyond_cut)
+
+
+def _scipy(f, a, b, xtol, rtol):
+    try:
+        return optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _port(f, a, b, xtol, rtol):
+    try:
+        return brentq(f, a, b, f(a), f(b), xtol, rtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesScipy:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        r=st.floats(-10.0, 10.0),
+        left=st.floats(-8.0, 2.0),
+        right=st.floats(-8.0, 2.0),
+        cut_share=st.floats(0.0, 1.0),
+        log_k=st.floats(-2.0, 0.5),
+        xtol=st.sampled_from(XTOLS),
+        rtol=st.sampled_from(RTOLS),
+    )
+    def test_bit_equal_root(self, family, r, left, right, cut_share, log_k, xtol, rtol):
+        # Bracket [r - 10**left, r + 10**right]; the -inf family turns to
+        # -inf at a cut between the root and b.
+        a, b = r - 10.0**left, r + 10.0**right
+        f = family(r, 10.0**log_k, r + cut_share * (b - r))
+        expected = _scipy(f, a, b, xtol, rtol)
+        assert isinstance(expected, float)
+        assert _port(f, a, b, xtol, rtol) == expected
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda fam: fam.__name__.strip("_"))
+    def test_bit_equal_on_a_fixed_bracket(self, family):
+        f = family(0.3, 1.0, 0.7)
+        for xtol in XTOLS:
+            assert _port(f, -1.0, 1.0, xtol, 8.9e-16) == _scipy(f, -1.0, 1.0, xtol, 8.9e-16)
+
+
+class TestEdgeCases:
+    def test_root_at_an_endpoint(self):
+        f = lambda x: x - 2.0  # noqa: E731
+        assert brentq(f, 2.0, 5.0, f(2.0), f(5.0), 1e-12, 8.9e-16) == 2.0
+        assert brentq(f, -1.0, 2.0, f(-1.0), f(2.0), 1e-12, 8.9e-16) == 2.0
+        assert optimize.brentq(f, 2.0, 5.0) == 2.0
+
+    def test_same_sign_is_a_value_error(self):
+        f = lambda x: x * x + 1.0  # noqa: E731
+        assert _port(f, -1.0, 1.0, 1e-12, 8.9e-16) == _scipy(f, -1.0, 1.0, 1e-12, 8.9e-16)
+        with pytest.raises(ValueError, match="f\\(a\\) and f\\(b\\) must have different signs"):
+            brentq(f, -1.0, 1.0, 2.0, 2.0, 1e-12, 8.9e-16)
+
+    def test_nan_value_is_a_value_error(self):
+        at_endpoint = lambda x: math.nan if x > 0.5 else -1.0  # noqa: E731
+        inside = lambda x: 1.0 if x >= 1.0 else (-1.0 if x <= -1.0 else math.nan)  # noqa: E731
+        for f in (at_endpoint, inside):
+            result = _port(f, -1.0, 1.0, 1e-12, 8.9e-16)
+            assert result == _scipy(f, -1.0, 1.0, 1e-12, 8.9e-16)
+            assert result[0] is ValueError and "is NaN" in result[1]
+
+    def test_non_convergence_is_a_runtime_error(self):
+        # A step function on a huge bracket: every step bisects, and 100
+        # halvings of 2e300 stay far above xtol.
+        f = lambda x: 1.0 if x > 0.3 else -1.0  # noqa: E731
+        result = _port(f, -1e300, 1e300, 1e-12, 8.9e-16)
+        assert result == _scipy(f, -1e300, 1e300, 1e-12, 8.9e-16)
+        assert result == (RuntimeError, "Failed to converge after 100 iterations.")
+
+    def test_tolerance_checks(self):
+        f = lambda x: x  # noqa: E731
+        for xtol, rtol in ((0.0, 8.9e-16), (-1e-12, 8.9e-16), (1e-12, 1e-16)):
+            result = _port(f, -1.0, 2.0, xtol, rtol)
+            assert result == _scipy(f, -1.0, 2.0, xtol, rtol)
+            assert result[0] is ValueError
