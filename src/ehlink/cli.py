@@ -30,17 +30,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
+def _emit_csv(args, meta: dict, header: str, rows) -> None:
+    """Write ``# key=value`` meta lines, the header, then one line per row,
+    to ``--out`` or stdout."""
+    lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
+    lines.append(header)
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 _PARAM_DEFAULTS = {"eta": 0.5, "g": 0.0, "e_avg": 0.5, "e_lim": 3.0}
-# Largest point count of one --sweep axis.
+# Largest point count of one --sweep axis, and of a region map's cells.
 _MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -72,13 +77,20 @@ def _number(text: str, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {text!r}") from None
 
 
-def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
+def _parse_sweeps(specs: list[str], command=None, names=None) -> dict[str, list[float]]:
+    """Each --sweep variable's points, as ``start + step * i`` floats.
+
+    With ``names``, the swept variables must be exactly those of ``command``;
+    without them (as the benchmark's self-test calls it), any set is returned.
+    """
     sweeps = {}
     for spec in specs or []:
         parts = spec.split(":")
         if len(parts) != 4:
             raise ValueError(f"sweep spec must be var:start:stop:step, got {spec!r}")
         var = parts[0]
+        if var in sweeps:
+            raise ValueError(f"{var} is swept twice; give each --sweep variable once")
         start, stop, step = (
             _number(text, f"{var} sweep {field}")
             for field, text in zip(("start", "stop", "step"), parts[1:])
@@ -88,7 +100,7 @@ def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
                 raise ValueError(f"{var} sweep {field} must be finite, got {value!r}")
         if step <= 0:
             raise ValueError(f"{var} sweep step must be > 0, got {step!r}")
-        # Bounded before flooring: steps may be inf, and count sizes np.arange.
+        # Bounded before flooring: steps may be inf, and count sizes the list.
         steps = (stop - start) / step
         if not steps + 1e-9 < _MAX_SWEEP_POINTS:
             raise ValueError(
@@ -98,7 +110,10 @@ def _parse_sweeps(specs: list[str]) -> dict[str, np.ndarray]:
         count = int(math.floor(steps + 1e-9)) + 1
         if count < 1:
             raise ValueError(f"{var} sweep range is empty: stop {stop!r} < start {start!r}")
-        sweeps[var] = start + step * np.arange(count)
+        sweeps[var] = [start + step * i for i in range(count)]
+    if names is not None and set(sweeps) != set(names):
+        wanted = " ".join(f"--sweep {name}:start:stop:step" for name in names)
+        raise ValueError(f"{command} needs {wanted}, got {', '.join(sweeps)}")
     return sweeps
 
 
@@ -113,36 +128,18 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     return counts
 
 
-def _meta(pairs: dict) -> list[str]:
-    return [f"# {key}={_fmt(value)}" for key, value in pairs.items()]
-
-
-SINGLE_HEADER = "eta,g,e_avg,e_lim,model,case,theta,e_i,e_e,alpha,rate,bits_per_use"
-
-
-def _single_row(p: SystemParams, model, cand, full) -> str:
-    fields = [
-        p.eta,
-        p.g,
-        p.e_avg,
-        p.e_lim,
-        model.name,
-        cand.case_label.value,
-        full.theta,
-        full.e_i,
-        full.e_e,
-        full.alpha,
-        full.rate,
-        full.bits_per_use,
-    ]
-    return ",".join(_fmt(f) for f in fields)
+def _solution(full) -> tuple:
+    """The solution columns theta,e_i,e_e,alpha,rate,bits_per_use."""
+    return full.theta, full.e_i, full.e_e, full.alpha, full.rate, full.bits_per_use
 
 
 def cmd_solve_single(args) -> int:
     p = _params(args)
     model = parse_model(args.ed_model)
     cand, full = single_block.algorithm1(p, model)
-    _emit([SINGLE_HEADER, _single_row(p, model, cand, full)], args.out)
+    row = (p.eta, p.g, p.e_avg, p.e_lim, model.name, cand.case_label.value, *_solution(full))
+    header = "eta,g,e_avg,e_lim,model,case,theta,e_i,e_e,alpha,rate,bits_per_use"
+    _emit_csv(args, {}, header, [row])
     return 0
 
 
@@ -152,29 +149,19 @@ def cmd_solve_multi(args) -> int:
     g_list = _resolve_g_list(args)
     prob = multi_block.MultiBlockProblem(p, g_list, model)
     sol = multi_block.iterative_solver(prob)
-    lines = _meta(
-        {
-            "total_bits_per_use": sol.total_bits_per_use,
-            "upper_bound": sol.bound,
-            "achieved": sol.bound_achieved,
-        }
-    )
-    lines.append("block,g,transfer,case,theta,e_i,e_e,alpha,rate,bits_per_use")
-    for i, (full, case) in enumerate(zip(sol.per_block, sol.cases)):
-        fields = [
-            i + 1,
-            g_list[i],
-            sol.transfers[i],
-            case.value,
-            full.theta,
-            full.e_i,
-            full.e_e,
-            full.alpha,
-            full.rate,
-            full.bits_per_use,
-        ]
-        lines.append(",".join(_fmt(f) for f in fields))
-    _emit(lines, args.out)
+    meta = {
+        "total_bits_per_use": sol.total_bits_per_use,
+        "upper_bound": sol.bound,
+        "achieved": sol.bound_achieved,
+    }
+    rows = [
+        (i + 1, g, transfer, case.value, *_solution(full))
+        for i, (g, transfer, case, full) in enumerate(
+            zip(g_list, sol.transfers, sol.cases, sol.per_block)
+        )
+    ]
+    header = "block,g,transfer,case,theta,e_i,e_e,alpha,rate,bits_per_use"
+    _emit_csv(args, meta, header, rows)
     return 0
 
 
@@ -195,13 +182,11 @@ def _resolve_g_list(args) -> tuple[float, ...]:
 
 
 def cmd_sweep_single(args) -> int:
-    sweeps = _parse_sweeps(args.sweep)
-    if set(sweeps) != {"e_avg"}:
-        raise ValueError("sweep-single sweeps e_avg only (--sweep e_avg:start:stop:step)")
+    sweeps = _parse_sweeps(args.sweep, "sweep-single", ("e_avg",))
     model = parse_model(args.ed_model)
 
-    def solve(e_avg: float):
-        p = _params(args, e_avg=float(e_avg))
+    def row(e_avg: float):
+        p = _params(args, e_avg=e_avg)
         _, full = single_block.algorithm1(p, model)
         baseline = single_block.constant_power_baseline(p, model)
         ratio = (
@@ -209,16 +194,11 @@ def cmd_sweep_single(args) -> int:
             if baseline.bits_per_use > 0
             else math.inf
         )
-        return full.bits_per_use, baseline.bits_per_use, ratio
+        return e_avg, full.bits_per_use, baseline.bits_per_use, ratio
 
-    rows = [solve(e_avg) for e_avg in sweeps["e_avg"]]
-    lines = _meta(
-        {"eta": args.eta, "g": args.g, "e_lim": args.e_lim, "model": model.name}
-    )
-    lines.append("e_avg,optimized_bits,baseline_bits,ratio")
-    for e_avg, (opt, base, ratio) in zip(sweeps["e_avg"], rows):
-        lines.append(",".join(_fmt(v) for v in (float(e_avg), opt, base, ratio)))
-    _emit(lines, args.out)
+    rows = [row(e_avg) for e_avg in sweeps["e_avg"]]
+    meta = {"eta": args.eta, "g": args.g, "e_lim": args.e_lim, "model": model.name}
+    _emit_csv(args, meta, "e_avg,optimized_bits,baseline_bits,ratio", rows)
     return 0
 
 
@@ -234,66 +214,52 @@ def _case_margins(p: SystemParams, model) -> tuple[str, float]:
 
 
 def cmd_region_map(args) -> int:
-    sweeps = _parse_sweeps(args.sweep)
-    if set(sweeps) != {"e_lim", "e_avg"}:
-        raise ValueError("region-map needs --sweep e_lim:... and --sweep e_avg:...")
+    sweeps = _parse_sweeps(args.sweep, "region-map", ("e_lim", "e_avg"))
+    e_lims, e_avgs = sweeps["e_lim"], sweeps["e_avg"]
+    if len(e_lims) * len(e_avgs) > _MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"region-map has more than {_MAX_SWEEP_POINTS} cells: "
+            f"e_lim sweep {len(e_lims)} points x e_avg sweep {len(e_avgs)} points"
+        )
     model = parse_model(args.ed_model)
-    points = [
-        (float(e_lim), float(e_avg))
-        for e_lim in sweeps["e_lim"]
-        for e_avg in sweeps["e_avg"]
-    ]
 
-    def classify(point):
-        e_lim, e_avg = point
+    def classify(e_lim: float, e_avg: float):
         if not e_avg < e_lim or args.eta * e_avg < args.g:
-            return "invalid", math.nan
+            return e_lim, e_avg, "invalid", math.nan
         p = _params(args, e_avg=e_avg, e_lim=e_lim)
-        return _case_margins(p, model)
+        return e_lim, e_avg, *_case_margins(p, model)
 
-    rows = [classify(point) for point in points]
-    lines = _meta({"eta": args.eta, "g": args.g, "model": model.name})
-    lines.append("e_lim,e_avg,case,margin")
-    for (e_lim, e_avg), (case, margin) in zip(points, rows):
-        lines.append(",".join(_fmt(v) for v in (e_lim, e_avg, case, margin)))
-    _emit(lines, args.out)
+    rows = [classify(e_lim, e_avg) for e_lim in e_lims for e_avg in e_avgs]
+    meta = {"eta": args.eta, "g": args.g, "model": model.name}
+    _emit_csv(args, meta, "e_lim,e_avg,case,margin", rows)
     return 0
 
 
 def cmd_sweep_multi(args) -> int:
-    sweeps = _parse_sweeps(args.sweep)
-    if set(sweeps) != {"e_avg"}:
-        raise ValueError("sweep-multi sweeps e_avg only")
+    sweeps = _parse_sweeps(args.sweep, "sweep-multi", ("e_avg",))
     model = parse_model(args.ed_model)
     blocks = _blocks(args)
 
-    def solve(e_avg: float):
-        p = _params(args, e_avg=float(e_avg))
-        prob = multi_block.MultiBlockProblem(p, (args.g,) * blocks, model)
-        sol = multi_block.iterative_solver(prob)
-        return sol.bound, sol.total_bits_per_use, sol.bound_achieved
-
-    rows = [solve(e_avg) for e_avg in sweeps["e_avg"]]
     # threshold_u reads eta, e_lim and the model but not e_avg, so one call
     # serves every row (a sweep has at least one point).
-    first = _params(args, e_avg=float(sweeps["e_avg"][0]))
-    u = multi_block.threshold_u(first, model, args.g)
-    lines = _meta(
-        {
-            "eta": args.eta,
-            "g": args.g,
-            "e_lim": args.e_lim,
-            "blocks": blocks,
-            "model": model.name,
-            "u": u,
-        }
-    )
-    lines.append("e_avg,upper_bound,total_bits_per_use,achieved,u")
-    for e_avg, (bound, total, achieved) in zip(sweeps["e_avg"], rows):
-        lines.append(
-            ",".join(_fmt(v) for v in (float(e_avg), bound, total, achieved, u))
-        )
-    _emit(lines, args.out)
+    u = multi_block.threshold_u(_params(args, e_avg=sweeps["e_avg"][0]), model, args.g)
+
+    def row(e_avg: float):
+        p = _params(args, e_avg=e_avg)
+        prob = multi_block.MultiBlockProblem(p, (args.g,) * blocks, model)
+        sol = multi_block.iterative_solver(prob)
+        return e_avg, sol.bound, sol.total_bits_per_use, sol.bound_achieved, u
+
+    rows = [row(e_avg) for e_avg in sweeps["e_avg"]]
+    meta = {
+        "eta": args.eta,
+        "g": args.g,
+        "e_lim": args.e_lim,
+        "blocks": blocks,
+        "model": model.name,
+        "u": u,
+    }
+    _emit_csv(args, meta, "e_avg,upper_bound,total_bits_per_use,achieved,u", rows)
     return 0
 
 
@@ -387,7 +353,9 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ehlink",
         description="Joint power/time/rate optimizer for an energy-harvesting link",
@@ -430,15 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built once per process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

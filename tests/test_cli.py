@@ -3,6 +3,7 @@ against the library, and error handling."""
 
 import argparse
 import dataclasses
+import json
 import math
 import os
 import shlex
@@ -10,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehlink import (
     CandidateSolution,
@@ -32,6 +36,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# stdout of each command, recorded before the five solve and sweep commands
+# shared one CSV writer.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("run", GOLDEN["runs"], ids=lambda run: run["argv"][0])
+def test_stdout_matches_golden(capsys, run):
+    assert run_cli(capsys, *run["argv"]) == (0, run["stdout"], "")
 
 
 class TestSolveSingle:
@@ -224,9 +238,38 @@ class TestSweeps:
              "e_avg sweep has more than 1000000 points: (stop - start) / step = inf"),
             (["sweep-single", "--sweep", "e_avg:0:1:1e-9"],
              "e_avg sweep has more than 1000000 points: (stop - start) / step = 1e+09"),
+            (["sweep-single", "--sweep", "e_avg:0.5:1.0:0.5", "--sweep", "e_avg:1.5:2.0:0.5"],
+             "e_avg is swept twice; give each --sweep variable once"),
+            (["region-map", "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0.5:1:0.5",
+              "--sweep", "e_lim:3:4:1"],
+             "e_lim is swept twice; give each --sweep variable once"),
+            (["sweep-single", "--sweep", "e_lim:1:2:1"],
+             "sweep-single needs --sweep e_avg:start:stop:step, got e_lim"),
+            (["sweep-multi", "--sweep", "e_avg:1:2:1", "--sweep", "g:0:1:1"],
+             "sweep-multi needs --sweep e_avg:start:stop:step, got e_avg, g"),
+            (["region-map", "--sweep", "e_avg:0.5:1:0.5"],
+             "region-map needs --sweep e_lim:start:stop:step --sweep e_avg:start:stop:step,"
+             " got e_avg"),
+            (["region-map", "--sweep", "e_lim:1:1001:1", "--sweep", "e_avg:0:999:1"],
+             "region-map has more than 1000000 cells: "
+             "e_lim sweep 1001 points x e_avg sweep 1000 points"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        start=st.floats(-1e6, 1e6),
+        step=st.floats(1e-6, 1e6),
+        count=st.integers(1, 2000),
+    )
+    def test_sweep_points_match_numpy_bit_for_bit(self, start, step, count):
+        # A stop half a step past the last point keeps the count exact.
+        stop = start + step * (count - 0.5)
+        values = cli._parse_sweeps([f"e_avg:{start!r}:{stop!r}:{step!r}"])["e_avg"]
+        expected = start + step * np.arange(count)
+        assert all(type(v) is float for v in values)
+        assert [v.hex() for v in values] == [float(x).hex() for x in expected]
 
 
 class TestDeterminism:
@@ -437,5 +480,6 @@ class TestFlags:
         ]
         assert len(examples) >= len(_subparsers())
         parser = cli.build_parser()
+        assert parser is cli.build_parser()  # one parser per process
         for argv in examples:
             parser.parse_args(argv[1:])
