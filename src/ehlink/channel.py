@@ -56,11 +56,15 @@ def capacity_derivative(e_i):
 
     Equals [log2(1-eps) - log2(eps)] * exp(-e_i) / (sqrt(4*pi) * sqrt(e_i))
     with eps the crossover probability.  The formula is singular at e_i = 0,
-    which is rejected; the solvers never need the derivative there.
+    which is rejected; the solvers never need the derivative there.  Once
+    eps underflows to 0 (e_i above about 745) the true value is below 1e-300,
+    and 0.0 is returned.
     """
     if e_i <= 0:
         raise ValueError("capacity_derivative requires e_i > 0")
     eps = crossover(e_i)
+    if eps == 0.0:
+        return 0.0
     return (
         (math.log2(1.0 - eps) - math.log2(eps))
         * _INV_SQRT_4PI

@@ -15,8 +15,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import multi_block, oracle, single_block
 from .decoder_energy import parse_model, power_law_model, theta_log_theta_model
 from .single_block import SystemParams
@@ -313,6 +311,8 @@ def _check_multi_n1(p, m, rng, spec):
 
 
 def cmd_verify(args) -> int:
+    import numpy as np  # here, so that the single-block commands never load it
+
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.instances < 1:

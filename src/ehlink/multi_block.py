@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .decoder_energy import DecoderEnergyModel
 from .single_block import (
     Case,
@@ -177,6 +175,8 @@ def construct_schedule(prob: MultiBlockProblem, gdot: float | None = None) -> tu
 
 def _lp_constraints(prob: MultiBlockProblem, thetas, e_is):
     """Inequality system A x <= b for the transfer polytope."""
+    import numpy as np
+
     p, m = prob.params, prob.model
     n = prob.n_blocks
     # Prefix sums >= 0, then T_i <= eta*e_avg - g_i.
@@ -209,6 +209,8 @@ def lp_step(prob: MultiBlockProblem, thetas, e_is) -> tuple[float, ...]:
     objective, negated).  Ties are broken toward the lexicographically
     smallest T through a chain of pinning LPs.
     """
+    import numpy as np
+
     p, m = prob.params, prob.model
     n = prob.n_blocks
     cost = np.array([objective(thetas[i], e_is[i], p, m, budget=1.0) for i in range(n)])

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .channel import capacity, capacity_derivative
 from .decoder_energy import DecoderEnergyModel, inverse_energy
 from .roots import brentq
@@ -268,6 +266,18 @@ def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, f
     return list(_case_ab_pairs(p.eta, p.e_lim, m))
 
 
+def _start_energies(e_lim: float) -> list[float]:
+    """_N_STARTS log-spaced energies from 1e-3 * e_lim to e_lim.
+
+    Both endpoints are exact, as numpy.geomspace sets them; an interior
+    point may differ from numpy's by rounding in its log10 and power.
+    """
+    lo = 1e-3 * e_lim
+    log_lo = math.log10(lo)
+    step = (math.log10(e_lim) - log_lo) / (_N_STARTS - 1)
+    return [lo, *(10.0 ** (i * step + log_lo) for i in range(1, _N_STARTS - 1)), float(e_lim)]
+
+
 # typed=True keeps e.g. e_lim=3 and e_lim=3.0 apart, so the case (b) pair
 # carries the caller's own e_lim value, exactly as an uncached solve would.
 @functools.lru_cache(maxsize=_AB_CACHE_SIZE, typed=True)
@@ -278,9 +288,8 @@ def _case_ab_pairs(
     p = SystemParams(eta=eta, g=0.0, e_avg=0.0, e_lim=e_lim)
     pairs: list[tuple[float, float]] = []
     resolved: list[tuple[float, float]] = []  # e-spans of finished starts
-    seeds = np.geomspace(1e-3 * p.e_lim, p.e_lim, _N_STARTS)
-    for seed in seeds:
-        e = float(seed)
+    for seed in _start_energies(p.e_lim):
+        e = seed
         theta = math.inf
         converged = False
         try:

@@ -115,6 +115,11 @@ class TestCapacityDerivative:
         assert np.all(ds > 0)
         assert np.all(np.diff(ds) < 0)
 
+    def test_zero_once_crossover_underflows(self):
+        # Q(sqrt(2e)) is exactly 0.0 past e ~ 745; log2(0) must not be taken.
+        assert crossover(800.0) == 0.0
+        assert capacity_derivative(800.0) == 0.0
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             capacity_derivative(0.0)

@@ -23,6 +23,7 @@ from ehlink import (
     algorithm1,
     cli,
     iterative_solver,
+    oracle,
     ranked_candidates,
     single_block,
     theta_log_theta_model,
@@ -78,6 +79,22 @@ class TestSolveSingle:
         )
         assert code == 0
         assert "power-law:c=1,p=2" in out
+
+    def test_crossover_underflow_near_peak(self, capsys):
+        # e_i near 1000 makes the crossover probability underflow to 0, where
+        # the capacity derivative reads 0 instead of failing on log2(0).
+        code, out, err = run_cli(
+            capsys, "solve-single", "--eta", "0.5", "--e-avg", "990", "--e-lim", "1000"
+        )
+        assert (code, err) == (0, "")
+        header, row = out.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["case"] == "c"
+        p = SystemParams(eta=0.5, g=0.0, e_avg=990.0, e_lim=1000.0)
+        model = theta_log_theta_model()
+        bits = float(fields["bits_per_use"])
+        assert bits >= single_block.constant_power_baseline(p, model).bits_per_use
+        assert bits >= oracle.grid_search_p2(p, model, oracle.GridSpec(1000, 1000))[2]
 
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "single.csv"
@@ -292,9 +309,9 @@ class TestDeterminism:
 
 class TestImports:
     def test_single_block_commands_load_no_scipy(self):
-        # A fresh interpreter: the test process itself has scipy loaded.
-        # Single-block commands must not import it; the LP and the oracle
-        # still load it on first use.
+        # A fresh interpreter: the test process itself has scipy and numpy
+        # loaded.  Single-block commands must import neither; the LP and the
+        # oracle still load both on first use.
         code = """
 import contextlib, io, sys
 import ehlink.cli as cli
@@ -306,7 +323,7 @@ def run(*argv):
 run("region-map", "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0.5:1.5:0.5")
 run("sweep-single", "--sweep", "e_avg:0.5:1.0:0.5")
 run("solve-single", "--e-avg", "1.0")
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy"))
 assert not loaded, loaded
 run("verify", "--instances", "2", "--grid", "50x50")
 run("solve-multi", "--g-list", "0.1,0.0")

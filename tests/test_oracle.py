@@ -1,6 +1,7 @@
 """Oracle self-consistency and solver-vs-oracle cross checks."""
 
 import inspect
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ehlink import (
     solve_p8,
     theta_log_theta_model,
 )
+from ehlink.decoder_energy import DecoderEnergyModel
 from ehlink.multi_block import _lp_constraints
 from ehlink.oracle import GridSpec, enumerate_lp_vertices, grid_search_p2, grid_search_p8
 
@@ -140,3 +142,192 @@ class TestVertexEnumeration:
         prob = MultiBlockProblem(p, (0.0,) * 5, MODEL)
         with pytest.raises(ValueError):
             enumerate_lp_vertices(prob, [2.0] * 5, [1.0] * 5)
+
+
+# Reference implementations: the oracles as they were before the grid was
+# built in row blocks and the vertices solved in one stacked call.  The fast
+# versions must return exactly what these return.
+
+
+def _full_objective(theta_grid, e_grid, budget, p, m):
+    cap = oracle._capacity(e_grid)
+    energy = np.fromiter(map(m.evaluate, theta_grid), float, len(theta_grid))
+    factor = (theta_grid - 1.0) / theta_grid
+    denom = p.eta * e_grid[None, :] + energy[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obj = factor[:, None] * budget * cap[None, :] / denom
+    obj[~np.isfinite(obj)] = 0.0
+    return obj, energy
+
+
+def _full_grid_search_p2(p, m, spec):
+    budget = p.eta * p.e_avg - p.g
+    theta_prime = oracle.inverse_energy(m, max(budget, 0.0) / (p.e_lim - p.e_avg) * p.e_lim)
+    theta_max = 2.0 * max(theta_prime, 2.0)
+    e_grid = np.linspace(0.0, p.e_lim, spec.e_points)
+    span = p.e_lim - p.e_avg
+    k1 = (p.eta * p.e_lim - p.g) / span
+    rhs = budget / span * p.e_lim
+    for _ in range(8):
+        theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
+        obj, energy = _full_objective(theta_grid, e_grid, budget, p, m)
+        mask = energy[:, None] + k1 * e_grid[None, :] >= rhs - 1e-10
+        if not mask.any():
+            raise ValueError("empty feasible grid; invalid parameters")
+        obj = np.where(mask, obj, -np.inf)
+        i, j = np.unravel_index(np.argmax(obj), obj.shape)
+        if i < spec.theta_points - 1 or budget == 0.0:
+            return float(theta_grid[i]), float(e_grid[j]), float(obj[i, j])
+        theta_max *= 2.0
+    return float(theta_grid[i]), float(e_grid[j]), float(obj[i, j])
+
+
+def _full_grid_search_p8(p, m, spec):
+    theta_max = 8.0
+    e_grid = np.linspace(0.0, p.e_lim, spec.e_points)
+    for _ in range(16):
+        theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
+        obj, _ = _full_objective(theta_grid, e_grid, 1.0, p, m)
+        i, j = np.unravel_index(np.argmax(obj), obj.shape)
+        if i < spec.theta_points - 1:
+            return float(theta_grid[i]), float(e_grid[j]), float(obj[i, j])
+        theta_max *= 2.0
+    return float(theta_grid[i]), float(e_grid[j]), float(obj[i, j])
+
+
+def _looped_lp_vertices(prob, thetas, e_is):
+    n = prob.n_blocks
+    obj, _ = _full_objective(
+        np.asarray(thetas, dtype=float), np.asarray(e_is, dtype=float), 1.0, prob.params, prob.model
+    )
+    cost = obj.diagonal()
+    a_ub, b_ub = oracle._transfer_polytope(prob, thetas, e_is)
+    vertices = []
+    for rows in combinations(range(len(b_ub)), n):
+        a = a_ub[list(rows)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, b_ub[list(rows)])
+        if np.all(a_ub @ x <= b_ub + 1e-9):
+            vertices.append(x)
+    if not vertices:
+        return "infeasible", None
+    values = [float(cost @ v) for v in vertices]
+    best_value = min(values)
+    optimal = [v for v, val in zip(vertices, values) if val <= best_value + 1e-9]
+    best = min(optimal, key=lambda v: tuple(v))
+    return "optimal", tuple(float(t) for t in best)
+
+
+SEARCHES = {"p2": (grid_search_p2, _full_grid_search_p2), "p8": (grid_search_p8, _full_grid_search_p8)}
+
+
+def _assert_same_search(kind, p, m, spec):
+    fast, full = SEARCHES[kind]
+    expected = full(p, m, spec)
+    result = fast(p, m, spec)
+    assert result == expected
+    assert all(type(v) is float for v in result)
+    return result
+
+
+class TestBlockedGridMatchesFullMatrix:
+    @pytest.mark.parametrize("kind", ["p2", "p8"])
+    @pytest.mark.parametrize(
+        "p, m, spec",
+        [
+            (P_REF, MODEL, GridSpec()),
+            (P_REF, power_law_model(1.0, 2.0), GridSpec()),
+            # Near-peak average power: the argmax sits on the coupled boundary.
+            (SystemParams(eta=0.5, g=0.0, e_avg=2.8, e_lim=3.0), MODEL, GridSpec()),
+            # 1001 rows is not a multiple of the block; the last block is short.
+            (SystemParams(eta=0.7, g=0.2, e_avg=1.5, e_lim=4.0), MODEL, GridSpec(1001, 333)),
+            # Zero budget: every cell is 0, and the first one in row order wins.
+            (SystemParams(eta=0.5, g=0.5, e_avg=1.0, e_lim=3.0), MODEL, GridSpec(300, 200)),
+            # E(theta) underflows to 0 on the first rows: 0/0 cells read 0.
+            (P_REF, power_law_model(1.0, 60.0), GridSpec(40, 40)),
+        ],
+        ids=["theta-log-theta", "power-law", "boundary", "1001x333", "zero-budget", "zero-energy"],
+    )
+    def test_matches(self, kind, p, m, spec):
+        _assert_same_search(kind, p, m, spec)
+
+    def test_argmax_on_upper_edge_doubles_theta_max(self):
+        # E grows so slowly that the first argmax lands on theta = 8.
+        theta, _, _ = _assert_same_search("p8", P_REF, power_law_model(1e-3, 1.0), GridSpec(200, 100))
+        assert theta > 8.0
+
+    def test_tie_across_a_block_boundary_keeps_the_first(self, monkeypatch):
+        # With C = 1 and E(theta) = (theta-1)/theta on the last row of the
+        # first block and the first row of the second, both rows read
+        # exactly 1 at e = 0 and every other cell less.
+        monkeypatch.setattr(oracle, "_capacity", np.ones_like)
+        theta_grid = np.geomspace(1.0 + 1e-6, 8.0, 200)
+        tied = {float(theta_grid[oracle._BLOCK_ROWS - 1]), float(theta_grid[oracle._BLOCK_ROWS])}
+
+        def evaluate(theta):
+            return (theta - 1.0) / theta * (1.0 if theta in tied else 2.0)
+
+        m = DecoderEnergyModel("tie", evaluate, evaluate)
+        result = _assert_same_search("p8", P_REF, m, GridSpec(200, 50))
+        assert result == (float(theta_grid[oracle._BLOCK_ROWS - 1]), 0.0, 1.0)
+
+    def test_empty_feasible_grid_raises(self):
+        # At zero budget no root find runs; an energy of -inf fails every cell.
+        m = DecoderEnergyModel("never-feasible", lambda t: -np.inf, lambda t: 0.0)
+        p = SystemParams(eta=0.5, g=0.5, e_avg=1.0, e_lim=3.0)
+        for search in SEARCHES["p2"]:
+            with pytest.raises(ValueError, match="empty feasible grid"):
+                search(p, m, GridSpec(100, 100))
+
+
+class TestStackedVerticesMatchLoop:
+    def _assert_same(self, prob, thetas, e_is):
+        expected = _looped_lp_vertices(prob, thetas, e_is)
+        result = enumerate_lp_vertices(prob, thetas, e_is)
+        assert result == expected
+        assert all(type(t) is float for t in result[1])
+
+    def test_criterion_9_draws(self):
+        rng = np.random.default_rng(99)
+        for k in range(200):
+            eta = float(rng.uniform(0.3, 1.0))
+            e_lim = float(rng.uniform(0.5, 8.0))
+            e_avg = e_lim * float(rng.uniform(0.02, 0.98))
+            rng.uniform(0.0, eta * e_avg)  # criterion 9 draws g, then sets it to 0
+            p = SystemParams(eta=eta, g=0.0, e_avg=e_avg, e_lim=e_lim)
+            n = int(rng.integers(1, 5))
+            gs = tuple(float(g) for g in rng.uniform(0.0, p.eta * p.e_avg, n))
+            prob = MultiBlockProblem(p, gs, [MODEL, power_law_model(1.0, 2.0)][k % 2])
+            thetas = [float(t) for t in rng.uniform(1.01, 5.0, n)]
+            e_is = [float(e) for e in rng.uniform(0.01 * p.e_lim, p.e_lim, n)]
+            self._assert_same(prob, thetas, e_is)
+
+    def test_singular_row_choices(self):
+        # Block 2 sits at e_lim, so its pair row is dropped; the prefix and
+        # cap rows of block 1 alone form singular choices.
+        p = SystemParams(eta=0.8, g=0.0, e_avg=1.0, e_lim=3.0)
+        prob = MultiBlockProblem(p, (0.1, 0.5, 0.3), MODEL)
+        thetas, e_is = [1.5, 2.0, 3.0], [0.5, 3.0, 2.0]
+        a_ub, _ = oracle._transfer_polytope(prob, thetas, e_is)
+        dets = [np.linalg.det(a_ub[list(rows)]) for rows in combinations(range(len(a_ub)), 3)]
+        assert any(abs(d) < 1e-12 for d in dets)
+        self._assert_same(prob, thetas, e_is)
+
+    def test_small_energy_scale(self):
+        # With e_lim near 1e-4 the pair rows' determinants fall far below 1,
+        # yet above the 1e-12 singularity cut.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            eta = float(rng.uniform(0.3, 1.0))
+            e_lim = float(rng.uniform(0.5, 8.0)) * 1e-4
+            p = SystemParams(eta=eta, g=0.0, e_avg=e_lim * float(rng.uniform(0.02, 0.98)), e_lim=e_lim)
+            n = int(rng.integers(2, 5))
+            gs = tuple(float(g) for g in rng.uniform(0.0, p.eta * p.e_avg, n))
+            thetas = [float(t) for t in rng.uniform(1.0001, 1.01, n)]
+            e_is = [float(e) for e in rng.uniform(0.01 * e_lim, e_lim, n)]
+            self._assert_same(MultiBlockProblem(p, gs, MODEL), thetas, e_is)
+
+    def test_lexicographic_tie(self):
+        p = SystemParams(eta=1.0, g=0.0, e_avg=1.0, e_lim=4.0)
+        self._assert_same(MultiBlockProblem(p, (0.2, 0.2), MODEL), [2.0, 2.0], [1.0, 1.0])
