@@ -9,13 +9,17 @@ The per-block objective scale factor (the normalized objective, which is the
 single-block `objective` at unit budget) admits a block-independent
 maximizer (theta_dot, e_dot), which yields a closed-form upper bound and the
 suffix-sum achievability condition.  The general case alternates per-block
-single-block solves with an exact LP over the transfers.
+single-block solves with an exact LP over the transfers, which HiGHS solves
+through scipy's bundled binding (`linprog`, the one LP entry point).  scipy
+loads on the first LP, so importing this module loads neither scipy nor numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .decoder_energy import DecoderEnergyModel
 from .single_block import (
@@ -32,6 +36,7 @@ __all__ = [
     "MultiBlockProblem",
     "MultiBlockSolution",
     "LpInfeasibleError",
+    "LpDataError",
     "ScheduleConditionError",
     "solve_p8",
     "g_dot",
@@ -48,15 +53,87 @@ _CONVERGENCE_TOL = 1e-9
 _MAX_ITERATIONS = 200
 
 
-def linprog(*args, **kwargs):
-    """scipy's `linprog`, imported on first call: single-block commands load no scipy."""
-    from scipy.optimize import linprog
-
-    return linprog(*args, **kwargs)
-
-
 class LpInfeasibleError(RuntimeError):
     """The transfer LP has no feasible point for the given per-block pairs."""
+
+
+class LpDataError(ValueError):
+    """The transfer LP's costs or constraints are not all finite."""
+
+
+class LpResult(NamedTuple):
+    """One LP solve: HiGHS's model status text, and the optimum when it found one."""
+
+    success: bool
+    x: object  # numpy array of column values; None unless success
+    fun: float | None
+    message: str
+
+
+@functools.cache
+def _highs():
+    """scipy's bundled HiGHS binding and the solve options, built on the first LP."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise ImportError(
+            "ehlink needs scipy>=1.15, whose bundled HiGHS binding "
+            f"(scipy.optimize._highspy._core) solves the transfer LP: {exc}"
+        ) from exc
+    # The options scipy's linprog(method="highs") passes with its defaults.
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return _core, options
+
+
+def linprog(cost, a_ub, b_ub, a_eq=None, b_eq=None) -> LpResult:
+    """Minimize cost @ x over free x subject to a_ub @ x <= b_ub and a_eq @ x = b_eq.
+
+    One call into HiGHS with the model and options of scipy's
+    ``linprog(method="highs")``, so it returns the same floats.  scipy is
+    imported on the first call: single-block commands load none of it.
+    """
+    import numpy as np
+
+    cost = np.asarray(cost, dtype=float)
+    n = cost.size
+    if a_eq is None:
+        a_eq, b_eq = np.empty((0, n)), np.empty(0)
+    a = np.vstack((a_ub, a_eq))
+    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
+    if not all(np.isfinite(v).all() for v in (cost, a, b_ub, b_eq)):
+        raise LpDataError("transfer LP data must be finite")
+    core, options = _highs()
+    # Column-major nonzeros, rows in order within a column: the CSC form.
+    # Lists fill HiGHS's vectors about twice as fast as numpy arrays do.
+    cols, rows = np.nonzero(a.T)
+    start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = rows.tolist()
+    lp.a_matrix_.value_ = a[rows, cols].tolist()
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.full(n, -core.kHighsInf)
+    lp.col_upper_ = np.full(n, core.kHighsInf)
+    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -core.kHighsInf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    message = highs.modelStatusToString(status)
+    if status != core.HighsModelStatus.kOptimal:
+        return LpResult(False, None, None, message)
+    x = np.array(highs.getSolution().col_value)
+    return LpResult(True, x, highs.getInfo().objective_function_value, message)
 
 
 class ScheduleConditionError(ValueError):
@@ -215,8 +292,7 @@ def lp_step(prob: MultiBlockProblem, thetas, e_is) -> tuple[float, ...]:
     n = prob.n_blocks
     cost = np.array([objective(thetas[i], e_is[i], p, m, budget=1.0) for i in range(n)])
     a_ub, b_ub = _lp_constraints(prob, thetas, e_is)
-    bounds = [(None, None)] * n
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(cost, a_ub, b_ub)
     if not res.success:
         raise LpInfeasibleError(f"transfer LP failed: {res.message}")
     best = res.x
@@ -226,10 +302,7 @@ def lp_step(prob: MultiBlockProblem, thetas, e_is) -> tuple[float, ...]:
     # leaves the polytope or the optimal face.
     a_eq, b_eq = [cost], [value]
     for unit in np.eye(n):
-        tie = linprog(
-            unit, A_ub=a_ub, b_ub=b_ub, A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-            bounds=bounds, method="highs",
-        )
+        tie = linprog(unit, a_ub, b_ub, np.array(a_eq), np.array(b_eq))
         if not tie.success:
             break
         a_eq.append(unit)

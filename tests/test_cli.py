@@ -334,6 +334,21 @@ run("solve-multi", "--g-list", "0.1,0.0")
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_no_scipy(self):
+        # The LP imports scipy's HiGHS binding on its first call, so importing
+        # the CLI or the multi-block planner loads neither scipy nor numpy.
+        code = """
+import sys
+import ehlink.cli, ehlink.multi_block
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy"))
+assert not loaded, loaded
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestVerify:
     def test_passes_at_default_tolerances(self, capsys):

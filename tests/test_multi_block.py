@@ -1,9 +1,10 @@
 """Multi-block planner tests: normalized objective (the single-block objective
 at unit budget), schedule construction, achievability condition, threshold,
-and the iterative solver."""
+the transfer LP's tie-break chain, and the iterative solver."""
 
 import math
 
+import numpy as np
 import pytest
 
 from ehlink import (
@@ -14,6 +15,7 @@ from ehlink import (
     construct_schedule,
     g_dot,
     iterative_solver,
+    lp_step,
     multi_block,
     objective,
     solve_p8,
@@ -22,7 +24,7 @@ from ehlink import (
     threshold_u,
     upper_bound,
 )
-from ehlink.multi_block import LpInfeasibleError, ScheduleConditionError
+from ehlink.multi_block import LpInfeasibleError, LpResult, ScheduleConditionError
 
 MODEL = theta_log_theta_model()
 # Reference link for the threshold study: unit efficiency, peak power 4,
@@ -245,3 +247,68 @@ class TestIterativeSolver:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: transfer LP failed")
+
+
+# Equal costs make every zero-sum schedule optimal.  HiGHS's plain optimum is
+# (0.8, 0.8, -1.6); the pinning chain moves it to the lexicographically
+# smallest optimum, (0, 0, 0).
+TIE = (
+    MultiBlockProblem(SystemParams(eta=1.0, g=0.0, e_avg=1.0, e_lim=4.0), (0.2,) * 3, MODEL),
+    [2.0] * 3,
+    [1.0] * 3,
+)
+
+
+class TestLpStep:
+    @staticmethod
+    def _route(monkeypatch, edit=lambda k, res: res):
+        """Send every LP through `edit(call index, result)`; return the results lp_step saw."""
+        direct = multi_block.linprog
+        seen = []
+
+        def routed(*args):
+            seen.append(edit(len(seen), direct(*args)))
+            return seen[-1]
+
+        monkeypatch.setattr(multi_block, "linprog", routed)
+        return seen
+
+    def test_one_solve_then_one_pinned_solve_per_block(self, monkeypatch):
+        # The benchmark's tracer counts multi_block.linprog calls: each of
+        # the 1 + N solves must go through it.
+        seen = self._route(monkeypatch)
+        p = SystemParams(eta=1.0, g=0.0, e_avg=3.0, e_lim=4.0)
+        prob = MultiBlockProblem(p, (0.1, 0.5, 0.3, 0.0), MODEL)
+        lp_step(prob, [1.5, 2.0, 2.5, 3.0], [1.0, 2.0, 3.0, 4.0])
+        assert len(seen) == 1 + 4
+        assert all(res.success for res in seen)
+
+    def test_chain_picks_the_lexicographic_optimum(self, monkeypatch):
+        seen = self._route(monkeypatch)
+        assert lp_step(*TIE) == (0.0, 0.0, 0.0)
+        assert tuple(seen[0].x) == pytest.approx((0.8, 0.8, -1.6), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_plain_optimum_kept_when_chain_lp_fails(self, monkeypatch, k):
+        failed = LpResult(False, None, None, "Infeasible")
+        seen = self._route(monkeypatch, lambda i, res: failed if i == k else res)
+        assert lp_step(*TIE) == tuple(seen[0].x)
+        assert len(seen) == k + 1
+
+    @pytest.mark.parametrize(
+        "moved",
+        [
+            # Zero cost, so on the optimal face, but the first prefix sum is -1.
+            (-1.0, 1.0, 0.0),
+            # Inside the polytope, but it banks 1.6 at a positive cost.
+            (0.8, 0.8, 0.0),
+        ],
+        ids=["leaves-polytope", "leaves-optimal-face"],
+    )
+    def test_plain_optimum_kept_when_chain_point_is_rejected(self, monkeypatch, moved):
+        def edit(i, res):
+            return res._replace(x=np.array(moved)) if i == 3 else res
+
+        seen = self._route(monkeypatch, edit)
+        assert lp_step(*TIE) == tuple(seen[0].x)
+        assert len(seen) == 4
