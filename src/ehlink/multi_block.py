@@ -12,12 +12,23 @@ suffix-sum achievability condition.  The general case alternates per-block
 single-block solves with an exact LP over the transfers, which HiGHS solves
 through scipy's bundled binding (`linprog`, the one LP entry point).  scipy
 loads on the first LP, so importing this module loads neither scipy nor numpy.
+
+The process holds one HiGHS model.  Each `lp_step` is a plain solve and a
+chain of pinning LPs, each the one before plus an equality row and a new
+cost, so a pinned LP only adds its row and sets its cost on the held model.
+It then passes HiGHS its own model back (``passModel(getLp())``), which
+drops all solver state: HiGHS solves from a cold start, presolve included,
+and returns the bits a model built afresh would.  Two cheaper resets change
+bits and are not used: ``clearSolver()`` alone moved the last bit of a
+pinned LP's solution, and warm starts take other simplex paths and moved
+some chains' final transfers in the 11th digit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -72,7 +83,7 @@ class LpResult(NamedTuple):
 
 @functools.cache
 def _highs():
-    """scipy's bundled HiGHS binding and the solve options, built on the first LP."""
+    """scipy's bundled HiGHS binding and the held model, made on the first LP."""
     try:
         from scipy.optimize._highspy import _core
     except ImportError as exc:
@@ -87,27 +98,22 @@ def _highs():
     options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = False
     options.log_to_console = False
-    return _core, options
+    highs = _core._Highs()
+    highs.passOptions(options)
+    return _core, _HeldLp(highs)
 
 
-def linprog(cost, a_ub, b_ub, a_eq=None, b_eq=None) -> LpResult:
-    """Minimize cost @ x over free x subject to a_ub @ x <= b_ub and a_eq @ x = b_eq.
+def _same(x, y) -> bool:
+    """Equal shapes and equal bits (so 0.0 and -0.0 differ): HiGHS gets the call's own numbers."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
-    One call into HiGHS with the model and options of scipy's
-    ``linprog(method="highs")``, so it returns the same floats.  scipy is
-    imported on the first call: single-block commands load none of it.
-    """
+
+def _build_lp(core, cost, a_ub, b_ub, a_eq, b_eq):
+    """The HighsLp of min cost @ x over free x, a_ub @ x <= b_ub, a_eq @ x = b_eq."""
     import numpy as np
 
-    cost = np.asarray(cost, dtype=float)
     n = cost.size
-    if a_eq is None:
-        a_eq, b_eq = np.empty((0, n)), np.empty(0)
     a = np.vstack((a_ub, a_eq))
-    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
-    if not all(np.isfinite(v).all() for v in (cost, a, b_ub, b_eq)):
-        raise LpDataError("transfer LP data must be finite")
-    core, options = _highs()
     # Column-major nonzeros, rows in order within a column: the CSC form.
     # Lists fill HiGHS's vectors about twice as fast as numpy arrays do.
     cols, rows = np.nonzero(a.T)
@@ -124,16 +130,98 @@ def linprog(cost, a_ub, b_ub, a_eq=None, b_eq=None) -> LpResult:
     lp.col_upper_ = np.full(n, core.kHighsInf)
     lp.row_lower_ = np.concatenate((np.full(b_ub.size, -core.kHighsInf), b_eq))
     lp.row_upper_ = np.concatenate((b_ub, b_eq))
-    highs = core._Highs()
-    highs.passOptions(options)
-    highs.passModel(lp)
-    highs.run()
+    return lp
+
+
+class _HeldLp:
+    """The process's one HiGHS instance, and copies of the rows of the model it holds.
+
+    ``rows`` is None when HiGHS holds no model that a call may extend.
+    """
+
+    def __init__(self, highs):
+        self.highs = highs
+        self.lock = threading.Lock()
+        self.rows = None  # (number of columns, a_ub, b_ub, a_eq, b_eq)
+
+    def extend(self, core, cost, a_ub, b_ub, a_eq, b_eq) -> bool:
+        """Make the held model the call's by adding rows and setting the cost, if it can."""
+        import numpy as np
+
+        if self.rows is None:
+            return False
+        n, held_a_ub, held_b_ub, held_a_eq, held_b_eq = self.rows
+        k = held_b_eq.size
+        if not (
+            cost.size == n
+            and _same(a_ub, held_a_ub)
+            and _same(b_ub, held_b_ub)
+            and _same(a_eq[:k], held_a_eq)
+            and _same(b_eq[:k], held_b_eq)
+        ):
+            return False
+        new, rhs = a_eq[k:], b_eq[k:]
+        rows, cols = np.nonzero(new)
+        start = np.searchsorted(rows, np.arange(rhs.size))
+        highs, error = self.highs, core.HighsStatus.kError
+        # passModel(getLp()) is the cold start.  A step HiGHS rejects leaves
+        # the held model unknown, so the call then rebuilds it.
+        if (
+            highs.addRows(rhs.size, rhs, rhs, rows.size, start, cols, new[rows, cols]) == error
+            or highs.changeColsCost(n, np.arange(n), cost) == error
+            or highs.passModel(highs.getLp()) == error
+        ):
+            self.rows = None
+            return False
+        self.rows = (n, held_a_ub, held_b_ub, a_eq.copy(), b_eq.copy())
+        return True
+
+    def build(self, core, cost, a_ub, b_ub, a_eq, b_eq) -> None:
+        """Pass HiGHS the call's model, built from numpy, in place of the held one."""
+        status = self.highs.passModel(_build_lp(core, cost, a_ub, b_ub, a_eq, b_eq))
+        held = (cost.size, a_ub.copy(), b_ub.copy(), a_eq.copy(), b_eq.copy())
+        self.rows = None if status == core.HighsStatus.kError else held
+
+
+def _result(core, highs) -> LpResult:
+    """HiGHS's outcome of its last run, as an LpResult."""
+    import numpy as np
+
     status = highs.getModelStatus()
     message = highs.modelStatusToString(status)
     if status != core.HighsModelStatus.kOptimal:
         return LpResult(False, None, None, message)
     x = np.array(highs.getSolution().col_value)
     return LpResult(True, x, highs.getInfo().objective_function_value, message)
+
+
+def linprog(cost, a_ub, b_ub, a_eq=None, b_eq=None) -> LpResult:
+    """Minimize cost @ x over free x subject to a_ub @ x <= b_ub and a_eq @ x = b_eq.
+
+    One solve by HiGHS with the model and options of scipy's
+    ``linprog(method="highs")``, so it returns the same floats.  Every call
+    runs on the process's one held HiGHS model (see the module docstring).
+    When the call's ``a_ub`` and ``b_ub`` equal the held copies bit for bit
+    and the held equality rows are a prefix of the call's, only the new
+    rows and the cost go to HiGHS; any other call builds its model from
+    numpy, which then becomes the held one.  scipy is imported on the first
+    call: single-block commands load none of it.
+    """
+    import numpy as np
+
+    cost = np.asarray(cost, dtype=float)
+    a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
+    if a_eq is None:
+        a_eq, b_eq = np.empty((0, cost.size)), np.empty(0)
+    a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
+    if not all(np.isfinite(v).all() for v in (cost, a_ub, b_ub, a_eq, b_eq)):
+        raise LpDataError("transfer LP data must be finite")
+    core, held = _highs()
+    with held.lock:
+        if not held.extend(core, cost, a_ub, b_ub, a_eq, b_eq):
+            held.build(core, cost, a_ub, b_ub, a_eq, b_eq)
+        held.highs.run()
+        return _result(core, held.highs)
 
 
 class ScheduleConditionError(ValueError):

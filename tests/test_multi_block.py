@@ -283,6 +283,31 @@ class TestLpStep:
         assert len(seen) == 1 + 4
         assert all(res.success for res in seen)
 
+    def test_one_model_build_per_lp_step_on_one_highs(self, monkeypatch):
+        # The pinned LPs only add rows to the held model: of the 1 + N LPs,
+        # only the plain solve builds a model from numpy, and every LP of the
+        # process runs on the one HiGHS instance _highs() made.
+        builds = []
+        direct = multi_block._build_lp
+
+        def counted(*args):
+            builds.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(multi_block, "_build_lp", counted)
+        highs = multi_block._highs()[1].highs
+        p = SystemParams(eta=1.0, g=0.0, e_avg=3.0, e_lim=4.0)
+        steps = [
+            (MultiBlockProblem(p, (0.1, 0.5, 0.3, 0.0), MODEL), [1.5, 2.0, 2.5, 3.0], [1.0, 2.0, 3.0, 4.0]),
+            TIE,
+            TIE,
+        ]
+        for step in steps:
+            lp_step(*step)
+        assert len(builds) == len(steps)
+        assert multi_block._highs()[1].highs is highs
+        assert multi_block._highs.cache_info().misses == 1
+
     def test_chain_picks_the_lexicographic_optimum(self, monkeypatch):
         seen = self._route(monkeypatch)
         assert lp_step(*TIE) == (0.0, 0.0, 0.0)
