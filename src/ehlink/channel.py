@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["q_function", "crossover", "capacity", "capacity_derivative"]
+__all__ = ["q_function", "crossover", "capacity", "capacity_derivative", "capacity_pair"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_4PI = 1.0 / math.sqrt(4.0 * math.pi)
@@ -36,19 +36,29 @@ def crossover(e_i):
     return q_function(math.sqrt(2.0 * e_i))
 
 
+def _capacity_terms(e_i):
+    """C(e_i) and the log ratio log2(1-eps) - log2(eps), from one crossover eps.
+
+    The 0*log(0) convention is applied so the limit eps -> 0 is exact: C is
+    then 1, and the ratio is None, since no log of eps exists.  At eps = 1/2
+    both are exactly 0.
+    """
+    eps = crossover(e_i)
+    if eps <= 0.0:
+        return 1.0, None
+    if eps >= 0.5:
+        return 0.0, 0.0
+    log_eps, log_rest = math.log2(eps), math.log2(1.0 - eps)
+    c = 1.0 + (eps * log_eps + (1.0 - eps) * log_rest)
+    return min(max(c, 0.0), 1.0), log_rest - log_eps
+
+
 def capacity(e_i):
     """BSC capacity 1 - H2(crossover(e_i)) in bits per channel use.
 
     Returns 0 at e_i = 0 (crossover 1/2) and tends to 1 as e_i grows.
-    The 0*log(0) convention is applied so the limit eps -> 0 is exact.
     """
-    eps = crossover(e_i)
-    if eps <= 0.0:
-        return 1.0
-    if eps >= 0.5:
-        return 0.0
-    c = 1.0 + (eps * math.log2(eps) + (1.0 - eps) * math.log2(1.0 - eps))
-    return min(max(c, 0.0), 1.0)
+    return _capacity_terms(e_i)[0]
 
 
 def capacity_derivative(e_i):
@@ -62,12 +72,17 @@ def capacity_derivative(e_i):
     """
     if e_i <= 0:
         raise ValueError("capacity_derivative requires e_i > 0")
-    eps = crossover(e_i)
-    if eps == 0.0:
-        return 0.0
-    return (
-        (math.log2(1.0 - eps) - math.log2(eps))
-        * _INV_SQRT_4PI
-        * math.exp(-e_i)
-        / math.sqrt(e_i)
-    )
+    return capacity_pair(e_i)[1]
+
+
+def capacity_pair(e_i):
+    """(capacity(e_i), capacity_derivative(e_i)) from one crossover, for e_i > 0.
+
+    The same floats, and the same errors, as the two calls in that order.
+    """
+    c, log_ratio = _capacity_terms(e_i)
+    if e_i <= 0:
+        raise ValueError("capacity_derivative requires e_i > 0")
+    if log_ratio is None:
+        return c, 0.0
+    return c, log_ratio * _INV_SQRT_4PI * math.exp(-e_i) / math.sqrt(e_i)

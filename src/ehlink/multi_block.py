@@ -69,7 +69,7 @@ class LpInfeasibleError(RuntimeError):
 
 
 class LpDataError(ValueError):
-    """The transfer LP's costs or constraints are not all finite."""
+    """The transfer LP's data are not finite, not of one width, or too large for HiGHS."""
 
 
 class LpResult(NamedTuple):
@@ -143,6 +143,8 @@ class _HeldLp:
         self.highs = highs
         self.lock = threading.Lock()
         self.rows = None  # (number of columns, a_ub, b_ub, a_eq, b_eq)
+        # HiGHS refuses a model with a matrix value of at least this size.
+        self.matrix_limit = highs.getOptions().large_matrix_value
 
     def extend(self, core, cost, a_ub, b_ub, a_eq, b_eq) -> bool:
         """Make the held model the call's by adding rows and setting the cost, if it can."""
@@ -216,6 +218,15 @@ def linprog(cost, a_ub, b_ub, a_eq=None, b_eq=None) -> LpResult:
     a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
     if not all(np.isfinite(v).all() for v in (cost, a_ub, b_ub, a_eq, b_eq)):
         raise LpDataError("transfer LP data must be finite")
+    if not (
+        cost.ndim == 1
+        and a_ub.ndim == a_eq.ndim == 2
+        and a_ub.shape[1] == a_eq.shape[1] == cost.size
+    ):
+        raise LpDataError(
+            f"transfer LP has {cost.size} costs but a_ub of shape {a_ub.shape} "
+            f"and a_eq of shape {a_eq.shape}"
+        )
     core, held = _highs()
     with held.lock:
         if not held.extend(core, cost, a_ub, b_ub, a_eq, b_eq):
@@ -344,6 +355,7 @@ def _lp_constraints(prob: MultiBlockProblem, thetas, e_is):
 
     p, m = prob.params, prob.model
     n = prob.n_blocks
+    limit = _highs()[1].matrix_limit
     # Prefix sums >= 0, then T_i <= eta*e_avg - g_i.
     rows = [np.tril(np.full((n, n), -1.0)), np.eye(n)]
     rhs = [np.zeros(n), p.eta * p.e_avg - np.array(prob.g_list)]
@@ -353,6 +365,11 @@ def _lp_constraints(prob: MultiBlockProblem, thetas, e_is):
         gap = p.e_lim - e_is[i]
         if gap <= 1e-12 * p.e_lim:
             continue
+        if gap >= limit:
+            raise LpDataError(
+                f"e_lim = {p.e_lim:g} is too large for the transfer LP: block {i + 1}'s "
+                f"coefficient e_lim - e_i = {gap:g} reaches HiGHS's matrix value limit {limit:g}"
+            )
         lower = (
             p.eta * p.e_avg * p.e_lim
             - p.eta * p.e_lim * e_is[i]
@@ -372,7 +389,9 @@ def lp_step(prob: MultiBlockProblem, thetas, e_is) -> tuple[float, ...]:
     Minimizes sum_i o_i * T_i over the transfer polytope, where o_i is block
     i's unit-budget objective (the transfer-dependent part of the total
     objective, negated).  Ties are broken toward the lexicographically
-    smallest T through a chain of pinning LPs.
+    smallest T through a chain of pinning LPs.  A boundary coefficient
+    e_lim - e_i at or above HiGHS's large_matrix_value raises
+    `LpDataError`: HiGHS would refuse the model unsolved.
     """
     import numpy as np
 
@@ -409,7 +428,8 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     holds (the first pass is then already optimal), otherwise from zeros.
     The objective is non-decreasing across steps; convergence is declared on
     an improvement below 1e-9.  An infeasible transfer LP raises
-    `LpInfeasibleError`.
+    `LpInfeasibleError`.  Blocks that share an overhead g_i + T_i, within a
+    pass or across passes, share one `algorithm1` solve.
     """
     p, m = prob.params, prob.model
     n = prob.n_blocks
@@ -418,6 +438,16 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     condition = theorem2_condition(prob, gdot)
     transfers = construct_schedule(prob, gdot) if condition else (0.0,) * n
 
+    # One algorithm1 solve per distinct overhead.  The key holds the sign as
+    # well as the value, so that 0.0 and -0.0 stay apart.
+    solved: dict[tuple[float, float], tuple] = {}
+
+    def solve_block(g: float) -> tuple:
+        key = (g, math.copysign(1.0, g))
+        if key not in solved:
+            solved[key] = algorithm1(replace(p, g=g), m)
+        return solved[key]
+
     prev_total = -math.inf
     blocks: list[tuple] = []
     total = 0.0
@@ -425,8 +455,7 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
         # Block i solves with overhead g_i + T_i, clamped against roundoff
         # past the zero-budget point; it may be negative.
         blocks = [
-            algorithm1(replace(p, g=min(g + t, p.eta * p.e_avg)), m)
-            for g, t in zip(prob.g_list, transfers)
+            solve_block(min(g + t, p.eta * p.e_avg)) for g, t in zip(prob.g_list, transfers)
         ]
         total = 0.0
         for cand, _ in blocks:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .channel import capacity, capacity_derivative
+from .channel import capacity, capacity_pair
 from .decoder_energy import DecoderEnergyModel, inverse_energy
 from .roots import brentq
 
@@ -167,22 +167,41 @@ def feasible(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) -
     return lhs >= rhs - FEAS_TOL
 
 
+def _m_of_theta(e_i: float, p: SystemParams, m: DecoderEnergyModel):
+    """theta -> M(theta) at fixed e_i, with eta*e_i taken once."""
+    eta_e = p.eta * e_i
+    evaluate, derivative = m.evaluate, m.derivative
+
+    def m_of(theta: float) -> float:
+        return eta_e + evaluate(theta) - (theta - 1.0) * theta * derivative(theta)
+
+    return m_of
+
+
+def _n_of_e(theta: float, p: SystemParams, m: DecoderEnergyModel):
+    """e -> N(e) at fixed theta, with E(theta) taken once and C, C' from one crossover."""
+    eta, energy = p.eta, m.evaluate(theta)
+
+    def n_of(e_i: float) -> float:
+        c, c_prime = capacity_pair(e_i)
+        return c_prime * (eta * e_i + energy) - eta * c
+
+    return n_of
+
+
 def m_function(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """M(theta) = eta*e_i + E(theta) - (theta-1)*theta*E'(theta); non-increasing."""
-    return p.eta * e_i + m.evaluate(theta) - (theta - 1.0) * theta * m.derivative(theta)
+    return _m_of_theta(e_i, p, m)(theta)
 
 
 def n_function(e_i: float, theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """N(e) = C'(e) * (eta*e + E(theta)) - eta*C(e); non-increasing in e."""
-    return capacity_derivative(e_i) * (p.eta * e_i + m.evaluate(theta)) - p.eta * capacity(e_i)
+    return _n_of_e(theta, p, m)(e_i)
 
 
 def _theta_star(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Unique root of M(theta) = 0 for fixed e_i > 0."""
-
-    def f(t: float) -> float:
-        return m_function(t, e_i, p, m)
-
+    f = _m_of_theta(e_i, p, m)
     lo, hi = 1.0, 2.0
     f_lo, f_hi = None, f(hi)
     while f_hi > 0.0:
@@ -211,10 +230,7 @@ def solve_lemma3(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
 
 def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Unique root of N(e) = 0 for fixed theta > 1."""
-
-    def f(e: float) -> float:
-        return n_function(e, theta, p, m)
-
+    f = _n_of_e(theta, p, m)
     lo, hi = 1e-12, 1.0
     f_lo = f(lo)
     if f_lo <= 0.0:
@@ -231,19 +247,24 @@ def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
 
 
-def _e0(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
+def _e0_of_theta(p: SystemParams, m: DecoderEnergyModel):
+    """theta -> e_i on the e_e = e_lim boundary (floored at 0), coefficients taken once."""
     denom = p.eta * p.e_lim - p.g
-    return max(
-        0.0,
-        p.budget / denom * p.e_lim - (p.e_lim - p.e_avg) / denom * m.evaluate(theta),
-    )
+    top = p.budget / denom * p.e_lim
+    slope = (p.e_lim - p.e_avg) / denom
+    evaluate = m.evaluate
+
+    def e0(theta: float) -> float:
+        return max(0.0, top - slope * evaluate(theta))
+
+    return e0
 
 
 def solve_lemma4(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Constrained optimizer of e_i for fixed theta > 1."""
     if not theta > 1:
         raise ValueError("solve_lemma4 requires theta > 1")
-    return min(max(_e_star(theta, p, m), _e0(theta, p, m)), p.e_lim)
+    return min(max(_e_star(theta, p, m), _e0_of_theta(p, m)(theta)), p.e_lim)
 
 
 def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, float, Case]]:
@@ -331,16 +352,17 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
     if p.budget <= 0.0:
         return None
     k = (p.e_lim - p.e_avg) / (p.eta * p.e_lim - p.g)
+    e0, e_lim, derivative = _e0_of_theta(p, m), p.e_lim, m.derivative
 
     def h(theta: float) -> float:
-        e = _e0(theta, p, m)
+        e = e0(theta)
         if e <= 0.0:
             return -math.inf
-        c = capacity(e)
-        e_prime = -k * m.derivative(theta)
-        c_prime = capacity_derivative(e) * e_prime
+        c, c_rate = capacity_pair(e)
+        e_prime = -k * derivative(theta)
+        c_prime = c_rate * e_prime
         q = theta * theta - theta
-        gap = p.e_lim - e
+        gap = e_lim - e
         return gap * c + q * gap * c_prime + q * c * e_prime
 
     h_one = h(1.0)
@@ -362,7 +384,7 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
         theta = hi if hi > 1.0 else 1.0 + 1e-12
     else:
         theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16)
-    e_i = _e0(theta, p, m)
+    e_i = e0(theta)
     return CandidateSolution(
         theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)
     )

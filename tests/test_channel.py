@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
-from ehlink import capacity, capacity_derivative, crossover, oracle, q_function
+from ehlink import capacity, capacity_derivative, capacity_pair, crossover, oracle, q_function
 
 
 class TestQFunction:
@@ -125,3 +127,74 @@ class TestCapacityDerivative:
             capacity_derivative(0.0)
         with pytest.raises(ValueError):
             capacity_derivative(-2.0)
+
+
+# capacity and capacity_derivative as they were before both took their
+# crossover and logs from one helper: the bits every solver output rests on.
+def _two_crossover_capacity(e_i):
+    eps = crossover(e_i)
+    if eps <= 0.0:
+        return 1.0
+    if eps >= 0.5:
+        return 0.0
+    c = 1.0 + (eps * math.log2(eps) + (1.0 - eps) * math.log2(1.0 - eps))
+    return min(max(c, 0.0), 1.0)
+
+
+def _two_crossover_derivative(e_i):
+    if e_i <= 0:
+        raise ValueError("capacity_derivative requires e_i > 0")
+    eps = crossover(e_i)
+    if eps == 0.0:
+        return 0.0
+    return (
+        (math.log2(1.0 - eps) - math.log2(eps))
+        * (1.0 / math.sqrt(4.0 * math.pi))
+        * math.exp(-e_i)
+        / math.sqrt(e_i)
+    )
+
+
+def _outcome(fn, e_i):
+    """fn(e_i) as the hex of each float (so -0.0 and 0.0 differ), or its error."""
+    try:
+        value = fn(e_i)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(float.hex(v) for v in value) if isinstance(value, tuple) else float.hex(value)
+
+
+# Log-uniform over [1e-300, 1e3], with both ends of the crossover: eps -> 1/2
+# (erfc rounds to 1 below e ~ 1e-33) and eps -> 0 (it underflows past e ~ 745),
+# plus the inputs every function must refuse.
+ENERGIES = st.one_of(
+    st.floats(-300.0, 3.0).map(lambda x: 10.0**x),
+    st.floats(1e-36, 1e-30),
+    st.floats(600.0, 800.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-9, -2.0, math.nan, math.inf, -math.inf]),
+)
+
+
+class TestCapacityPair:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(e_i=ENERGIES)
+    def test_matches_the_two_calls_bit_for_bit(self, e_i):
+        assert _outcome(capacity_pair, e_i) == _outcome(
+            lambda e: (capacity(e), capacity_derivative(e)), e_i
+        )
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(e_i=ENERGIES)
+    def test_each_function_keeps_its_two_crossover_bits(self, e_i):
+        assert _outcome(capacity, e_i) == _outcome(_two_crossover_capacity, e_i)
+        assert _outcome(capacity_derivative, e_i) == _outcome(_two_crossover_derivative, e_i)
+
+    def test_edges(self):
+        assert capacity_pair(800.0) == (1.0, 0.0)
+        assert capacity_pair(1e-300) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="capacity_derivative requires e_i > 0"):
+            capacity_pair(0.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            capacity_pair(-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            capacity_pair(math.nan)

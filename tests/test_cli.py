@@ -426,6 +426,28 @@ class TestErrorHandling:
         assert out == ""
         assert err == f"error: {flag} must be >= {minimum}, got {value}\n"
 
+    def test_e_lim_past_the_lp_matrix_limit_is_named(self, capsys):
+        # The boundary row's coefficient -(e_lim - e_i) reaches HiGHS's
+        # large_matrix_value (1e15), so HiGHS would refuse the LP unsolved.
+        code, out, err = run_cli(
+            capsys, "solve-multi", "--eta", "1", "--e-avg", "1", "--e-lim", "1e16",
+            "--g-list", "0.1,0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: e_lim = 1e+16 is too large for the transfer LP: block 1's coefficient "
+            "e_lim - e_i = 1e+16 reaches HiGHS's matrix value limit 1e+15\n"
+        )
+
+    def test_e_lim_below_the_lp_matrix_limit_solves(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve-multi", "--eta", "1", "--e-avg", "1", "--e-lim", "1e14",
+            "--g-list", "0.1,0.5",
+        )
+        assert (code, err) == (0, "")
+        assert "# achieved=True" in out
+
     def test_unknown_model_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve-single", "--ed-model", "nope")
         assert code == 2

@@ -129,6 +129,26 @@ class TestFailures:
         with pytest.raises(LpDataError, match="finite"):
             multi_block.linprog(*args.values())
 
+    @pytest.mark.parametrize("wide", ["cost", "a_ub", "a_eq"])
+    def test_column_counts_must_agree(self, monkeypatch, wide):
+        # HiGHS would be told of as many columns as there are costs and
+        # solve without the others.
+        args = {
+            "cost": np.array([1.0, 2.0]),
+            "a_ub": np.array([[-1.0, 0.0], [-1.0, -1.0]]),
+            "b_ub": np.array([0.0, 0.0]),
+            "a_eq": np.array([[1.0, 2.0]]),
+            "b_eq": np.array([0.0]),
+        }
+        args[wide] = np.concatenate((args[wide], np.zeros_like(args[wide][..., :1])), axis=-1)
+
+        def no_highs():
+            raise AssertionError("HiGHS was reached")
+
+        monkeypatch.setattr(multi_block, "_highs", no_highs)
+        with pytest.raises(LpDataError, match="costs but a_ub of shape"):
+            multi_block.linprog(*args.values())
+
 
 def test_missing_binding_names_the_scipy_floor(monkeypatch):
     # Without the package attribute, a None entry in sys.modules makes the
@@ -275,12 +295,20 @@ class TestHeldModel:
             "fewer-rows": (cost, a_ub, b_ub, a_eq[:1], b_eq[:1]),
             "other-last-row": (cost, a_ub, b_ub, np.vstack((a_eq[:1], np.eye(3)[2])), b_eq),
             "other-last-rhs": (cost, a_ub, b_ub, a_eq, b_eq + np.array([0.0, 0.5])),
-            # HiGHS reads as many costs as the held model has columns.
             "other-cost-size": (cost[:2], a_ub, b_ub, a_eq, b_eq),
         }[change]
         del builds[:]
-        _replay([lps[2], call])
-        assert len(builds) == 2
+        _replay([lps[2]])
+        if change == "other-cost-size":
+            # HiGHS would read only as many columns as there are costs, so the
+            # call is refused before it reaches the held model.
+            with pytest.raises(LpDataError, match=r"^transfer LP has 2 costs but a_ub of shape"):
+                multi_block.linprog(*call)
+            _replay(lps[3:])
+            assert len(builds) == 1
+        else:
+            _replay([call])
+            assert len(builds) == 2
 
     def test_data_error_mid_chain_keeps_the_held_model(self, builds):
         lps = _captured_lps(*TIE)

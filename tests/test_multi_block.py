@@ -24,7 +24,12 @@ from ehlink import (
     threshold_u,
     upper_bound,
 )
-from ehlink.multi_block import LpInfeasibleError, LpResult, ScheduleConditionError
+from ehlink.multi_block import (
+    LpDataError,
+    LpInfeasibleError,
+    LpResult,
+    ScheduleConditionError,
+)
 
 MODEL = theta_log_theta_model()
 # Reference link for the threshold study: unit efficiency, peak power 4,
@@ -229,6 +234,33 @@ class TestIterativeSolver:
             sol = iterative_solver(MultiBlockProblem(p, gs, MODEL))
             assert sol.total_bits_per_use <= sol.bound + 1e-8
 
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The overhead g of every algorithm1 call the multi-block solver makes."""
+        calls = []
+        solve = multi_block.algorithm1
+        monkeypatch.setattr(multi_block, "algorithm1", lambda p, m: calls.append(p.g) or solve(p, m))
+        return calls
+
+    def test_each_distinct_overhead_is_solved_once(self, solved):
+        # Above the threshold the solver runs several passes, and blocks
+        # with one g_i share an overhead within a pass.
+        u = threshold_u(P_FIG, MODEL, 0.1)
+        p = SystemParams(eta=1.0, g=0.1, e_avg=u + 0.05, e_lim=4.0)
+        iterative_solver(MultiBlockProblem(p, (0.1,) * 4, MODEL))
+        assert solved == [0.1]
+        solved.clear()
+        iterative_solver(MultiBlockProblem(p, (0.1, 0.3) * 3, MODEL))
+        assert solved[:2] == [0.1, 0.3]
+        assert len(solved) == len({g.hex() for g in solved})
+
+    def test_zero_and_negative_zero_overheads_are_solved_apart(self, solved):
+        # g_dot < 0, so the schedule's transfers are 0.0 and -0.0: the two
+        # overheads are equal as numbers but not as bits.
+        p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
+        iterative_solver(MultiBlockProblem(p, (0.0, -0.0), MODEL))
+        assert [g.hex() for g in solved] == ["0x0.0p+0", "-0x0.0p+0"]
+
     def test_lp_failure_propagates(self, monkeypatch, capsys):
         # A failed transfer LP is a typed error, never a silent stop.
         def infeasible(prob, thetas, e_is):
@@ -260,6 +292,14 @@ TIE = (
 
 
 class TestLpStep:
+    def test_coefficient_at_the_highs_matrix_limit_is_a_data_error(self):
+        # HiGHS refuses a matrix value of large_matrix_value (1e15) or more.
+        prob = MultiBlockProblem(SystemParams(eta=1.0, g=0.0, e_avg=1.0, e_lim=2e15), (0.1,), MODEL)
+        with pytest.raises(LpDataError, match=r"e_lim - e_i = 1e\+15 .* limit 1e\+15$"):
+            lp_step(prob, [2.0], [1e15])
+        # One step below the limit, HiGHS takes the row.
+        assert lp_step(prob, [2.0], [math.nextafter(1e15, 2e15)]) == (0.0,)
+
     @staticmethod
     def _route(monkeypatch, edit=lambda k, res: res):
         """Send every LP through `edit(call index, result)`; return the results lp_step saw."""

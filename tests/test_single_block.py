@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehlink import (
+    CandidateSolution,
     Case,
     SystemParams,
+    capacity,
+    capacity_derivative,
     algorithm1,
     constant_power_baseline,
     feasible,
@@ -32,10 +35,12 @@ from ehlink import (
     theta_log_theta_model,
 )
 from ehlink import single_block
-from ehlink.decoder_energy import DecoderEnergyModel
+from ehlink.decoder_energy import DecoderEnergyModel, inverse_energy
+from ehlink.roots import brentq
 from ehlink.single_block import (
     _AB_CACHE_SIZE,
     InfeasibleRecoveryError,
+    SolverError,
     _case_ab_pairs,
     case_ab_pairs,
 )
@@ -206,6 +211,158 @@ def link_params(draw):
     e_avg = e_lim * draw(st.one_of(st.floats(0.0, 0.98), st.floats(0.98, 1.0 - 1e-9)))
     g = eta * e_avg * draw(st.one_of(st.floats(0.0, 1.0), st.just(1.0)))
     return SystemParams(eta=eta, g=g, e_avg=e_avg, e_lim=e_lim)
+
+
+# The root finders as they were when M, N and h recomputed every term at every
+# evaluation and took C and C' from two crossovers: the new ones, which build
+# each root function once with its constants hoisted, must return their floats.
+def _ref_m_function(theta, e_i, p, m):
+    return p.eta * e_i + m.evaluate(theta) - (theta - 1.0) * theta * m.derivative(theta)
+
+
+def _ref_n_function(e_i, theta, p, m):
+    return capacity_derivative(e_i) * (p.eta * e_i + m.evaluate(theta)) - p.eta * capacity(e_i)
+
+
+def _ref_theta_star(e_i, p, m):
+    def f(t):
+        return _ref_m_function(t, e_i, p, m)
+
+    lo, hi = 1.0, 2.0
+    f_lo, f_hi = None, f(hi)
+    while f_hi > 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        if hi > single_block._THETA_CAP:
+            raise SolverError("no M-root below theta = 1e12; energy model suspect")
+        f_hi = f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=8.9e-16)
+
+
+def _ref_e_star(theta, p, m):
+    def f(e):
+        return _ref_n_function(e, theta, p, m)
+
+    lo, hi = 1e-12, 1.0
+    f_lo = f(lo)
+    if f_lo <= 0.0:
+        raise SolverError("N(0+) <= 0; energy model suspect")
+    f_hi = f(hi)
+    while f_hi > 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        if hi > single_block._E_CAP:
+            raise SolverError("no N-root below e = 100; energy model suspect")
+        f_hi = f(hi)
+    return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
+
+
+def _ref_e0(theta, p, m):
+    denom = p.eta * p.e_lim - p.g
+    return max(
+        0.0,
+        p.budget / denom * p.e_lim - (p.e_lim - p.e_avg) / denom * m.evaluate(theta),
+    )
+
+
+def _ref_solve_case_c(p, m):
+    if p.budget <= 0.0:
+        return None
+    k = (p.e_lim - p.e_avg) / (p.eta * p.e_lim - p.g)
+
+    def h(theta):
+        e = _ref_e0(theta, p, m)
+        if e <= 0.0:
+            return -math.inf
+        c = capacity(e)
+        e_prime = -k * m.derivative(theta)
+        c_prime = capacity_derivative(e) * e_prime
+        q = theta * theta - theta
+        gap = p.e_lim - e
+        return gap * c + q * gap * c_prime + q * c * e_prime
+
+    h_one = h(1.0)
+    if h_one <= 0.0:
+        return None
+    theta_prime = inverse_energy(m, p.budget / (p.e_lim - p.e_avg) * p.e_lim)
+    gap = max(1e-12, 1e-9 * (theta_prime - 1.0))
+    hi = theta_prime - gap
+    h_hi = h(hi) if hi > 1.0 else math.nan
+    while hi > 1.0 and h_hi > 0.0:
+        gap *= 1e-2
+        hi = theta_prime - gap
+        h_hi = h(hi) if hi > 1.0 else math.nan
+        if gap < 1e-15 * theta_prime:
+            break
+    if not hi > 1.0 or h_hi > 0.0:
+        theta = hi if hi > 1.0 else 1.0 + 1e-12
+    else:
+        theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16)
+    e_i = _ref_e0(theta, p, m)
+    return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m))
+
+
+def _ref_solve_lemma4(theta, p, m):
+    return min(max(_ref_e_star(theta, p, m), _ref_e0(theta, p, m)), p.e_lim)
+
+
+def _bits(fn, *args):
+    """fn(*args) with every float as its hex (so -0.0 and 0.0 differ), or its error."""
+    try:
+        value = fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, CandidateSolution):
+        return value.theta.hex(), value.e_i.hex(), value.case_label, value.objective.hex()
+    return value if value is None else float.hex(value)
+
+
+def _same(fn, ref, *args):
+    return _bits(fn, *args) == _bits(ref, *args)
+
+
+@st.composite
+def edge_params(draw):
+    """A link over ROADMAP item 4's probe distribution: e_avg up to e_lim and
+    g up to eta*e_avg, each often within a hair of its end."""
+    eta = 10.0 ** draw(st.floats(-4.0, 0.0))
+    e_lim = 10.0 ** draw(st.floats(-2.0, 3.0))
+    near_one = st.floats(-9.0, -1.0).map(lambda x: 1.0 - 10.0**x)
+    small = st.floats(-6.0, -1.0).map(lambda x: 10.0**x)
+    share = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), near_one, small))
+    g_share = draw(st.one_of(st.floats(0.0, 1.0), st.just(0.0), near_one))
+    e_avg = e_lim * share
+    return SystemParams(eta=eta, g=eta * e_avg * g_share, e_avg=e_avg, e_lim=e_lim)
+
+
+FAMILIES = st.one_of(
+    st.just(MODEL), st.builds(power_law_model, st.floats(0.05, 20.0), st.floats(1.0, 10.0))
+)
+
+
+class TestHoistedRootFunctions:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=FAMILIES, theta=st.floats(1.0, 50.0), e_i=st.floats(1e-9, 1.0))
+    def test_stationarity_functions_keep_their_bits(self, p, model, theta, e_i):
+        e_i *= p.e_lim
+        assert _same(m_function, _ref_m_function, theta, e_i, p, model)
+        assert _same(n_function, _ref_n_function, e_i, theta, p, model)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=edge_params(),
+        model=FAMILIES,
+        theta=st.floats(1.0, 50.0, exclude_min=True),
+        e_i=st.floats(1e-3, 1.0),
+    )
+    def test_root_finders_keep_their_bits(self, p, model, theta, e_i):
+        e_i *= p.e_lim
+        assert _same(single_block._theta_star, _ref_theta_star, e_i, p, model)
+        assert _same(single_block._e_star, _ref_e_star, theta, p, model)
+        assert _same(solve_case_c, _ref_solve_case_c, p, model)
+        assert _same(solve_lemma4, _ref_solve_lemma4, theta, p, model)
 
 
 class TestRankedCandidates:
