@@ -36,7 +36,6 @@ from .single_block import (
     recover_full,
     solve_case_c,
     solve_lemma3,
-    solve_lemma4,
 )
 
 __version__ = "0.1.0"

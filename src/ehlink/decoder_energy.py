@@ -117,7 +117,9 @@ def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
     """Return theta >= 1 with model.evaluate(theta) == target.
 
     Brent's method (`roots.brentq`) on [1, hi] after doubling hi from 2;
-    existence is guaranteed by the model growing without bound.
+    existence is guaranteed by the model growing without bound.  A convex,
+    non-decreasing, unbounded model grows at least linearly, so hi may
+    double until it leaves the floats.
     """
     if target < 0:
         raise ValueError("target energy must be >= 0")
@@ -127,10 +129,10 @@ def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
     e_hi = model.evaluate(hi)
     while e_hi < target:
         hi *= 2.0
-        if hi > 1e13:
+        if hi == math.inf:
             raise RuntimeError(
-                "decoder energy model failed to reach target; unbounded-growth "
-                "property violated"
+                f"decoder energy model does not reach {target:g} at any finite theta; "
+                "unbounded-growth property violated"
             )
         e_hi = model.evaluate(hi)
 

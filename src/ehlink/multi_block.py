@@ -9,28 +9,25 @@ The per-block objective scale factor (the normalized objective, which is the
 single-block `objective` at unit budget) admits a block-independent
 maximizer (theta_dot, e_dot), which yields a closed-form upper bound and the
 suffix-sum achievability condition.  The general case alternates per-block
-single-block solves with an exact LP over the transfers, which HiGHS solves
-through scipy's bundled binding (`linprog`, the one LP entry point).  scipy
-loads on the first LP, so importing this module loads neither scipy nor numpy.
+single-block solves with an exact LP over the transfers (`lp_step`), which
+HiGHS solves through scipy's bundled binding.  scipy loads on the first LP,
+so importing this module loads neither scipy nor numpy.
 
-The process holds one HiGHS model.  Each `lp_step` is a plain solve and a
-chain of pinning LPs, each the one before plus an equality row and a new
-cost, so a pinned LP only adds its row and sets its cost on the held model.
-It then passes HiGHS its own model back (``passModel(getLp())``), which
-drops all solver state: HiGHS solves from a cold start, presolve included,
-and returns the bits a model built afresh would.  Two cheaper resets change
-bits and are not used: ``clearSolver()`` alone moved the last bit of a
-pinned LP's solution, and warm starts take other simplex paths and moved
-some chains' final transfers in the 11th digit.
+Each `lp_step` runs its chain of LPs (`_chain`) on one new HiGHS instance
+with the options scipy's ``linprog(method="highs")`` passes; nothing is held
+between calls.  A pinned LP adds its row and cost to the model HiGHS holds
+and passes that model back (``passModel(getLp())``), which drops all solver
+state: HiGHS solves from a cold start, presolve included, and returns the
+bits a model built afresh would.  Cheaper resets change bits:
+``clearSolver()`` alone moved the last bit of a pinned LP's solution, and
+warm starts moved some chains' final transfers in the 11th digit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .decoder_energy import DecoderEnergyModel
 from .single_block import (
@@ -69,21 +66,12 @@ class LpInfeasibleError(RuntimeError):
 
 
 class LpDataError(ValueError):
-    """The transfer LP's data are not finite, not of one width, or too large for HiGHS."""
-
-
-class LpResult(NamedTuple):
-    """One LP solve: HiGHS's model status text, and the optimum when it found one."""
-
-    success: bool
-    x: object  # numpy array of column values; None unless success
-    fun: float | None
-    message: str
+    """The transfer LP's data are not finite, or HiGHS refuses them."""
 
 
 @functools.cache
 def _highs():
-    """scipy's bundled HiGHS binding and the held model, made on the first LP."""
+    """scipy's bundled HiGHS binding and the options of its linprog, made on the first LP."""
     try:
         from scipy.optimize._highspy import _core
     except ImportError as exc:
@@ -98,141 +86,74 @@ def _highs():
     options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = False
     options.log_to_console = False
-    highs = _core._Highs()
-    highs.passOptions(options)
-    return _core, _HeldLp(highs)
+    return _core, options
 
 
-def _same(x, y) -> bool:
-    """Equal shapes and equal bits (so 0.0 and -0.0 differ): HiGHS gets the call's own numbers."""
-    return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
-def _build_lp(core, cost, a_ub, b_ub, a_eq, b_eq):
-    """The HighsLp of min cost @ x over free x, a_ub @ x <= b_ub, a_eq @ x = b_eq."""
+def _build_lp(core, cost, a_ub, b_ub):
+    """The HighsLp of min cost @ x over free x subject to a_ub @ x <= b_ub."""
     import numpy as np
 
     n = cost.size
-    a = np.vstack((a_ub, a_eq))
     # Column-major nonzeros, rows in order within a column: the CSC form.
     # Lists fill HiGHS's vectors about twice as fast as numpy arrays do.
-    cols, rows = np.nonzero(a.T)
+    cols, rows = np.nonzero(a_ub.T)
     start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.num_row_ = lp.a_matrix_.num_row_ = a_ub.shape[0]
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     lp.a_matrix_.start_ = start.tolist()
     lp.a_matrix_.index_ = rows.tolist()
-    lp.a_matrix_.value_ = a[rows, cols].tolist()
+    lp.a_matrix_.value_ = a_ub[rows, cols].tolist()
     lp.col_cost_ = cost
     lp.col_lower_ = np.full(n, -core.kHighsInf)
     lp.col_upper_ = np.full(n, core.kHighsInf)
-    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -core.kHighsInf), b_eq))
-    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    lp.row_lower_ = np.full(b_ub.size, -core.kHighsInf)
+    lp.row_upper_ = b_ub
     return lp
 
 
-class _HeldLp:
-    """The process's one HiGHS instance, and copies of the rows of the model it holds.
+def _chain(cost, a_ub, b_ub):
+    """Yield (x, fun) of each LP of `lp_step`'s tie-break chain, in order.
 
-    ``rows`` is None when HiGHS holds no model that a call may extend.
-    """
-
-    def __init__(self, highs):
-        self.highs = highs
-        self.lock = threading.Lock()
-        self.rows = None  # (number of columns, a_ub, b_ub, a_eq, b_eq)
-        # HiGHS refuses a model with a matrix value of at least this size.
-        self.matrix_limit = highs.getOptions().large_matrix_value
-
-    def extend(self, core, cost, a_ub, b_ub, a_eq, b_eq) -> bool:
-        """Make the held model the call's by adding rows and setting the cost, if it can."""
-        import numpy as np
-
-        if self.rows is None:
-            return False
-        n, held_a_ub, held_b_ub, held_a_eq, held_b_eq = self.rows
-        k = held_b_eq.size
-        if not (
-            cost.size == n
-            and _same(a_ub, held_a_ub)
-            and _same(b_ub, held_b_ub)
-            and _same(a_eq[:k], held_a_eq)
-            and _same(b_eq[:k], held_b_eq)
-        ):
-            return False
-        new, rhs = a_eq[k:], b_eq[k:]
-        rows, cols = np.nonzero(new)
-        start = np.searchsorted(rows, np.arange(rhs.size))
-        highs, error = self.highs, core.HighsStatus.kError
-        # passModel(getLp()) is the cold start.  A step HiGHS rejects leaves
-        # the held model unknown, so the call then rebuilds it.
-        if (
-            highs.addRows(rhs.size, rhs, rhs, rows.size, start, cols, new[rows, cols]) == error
-            or highs.changeColsCost(n, np.arange(n), cost) == error
-            or highs.passModel(highs.getLp()) == error
-        ):
-            self.rows = None
-            return False
-        self.rows = (n, held_a_ub, held_b_ub, a_eq.copy(), b_eq.copy())
-        return True
-
-    def build(self, core, cost, a_ub, b_ub, a_eq, b_eq) -> None:
-        """Pass HiGHS the call's model, built from numpy, in place of the held one."""
-        status = self.highs.passModel(_build_lp(core, cost, a_ub, b_ub, a_eq, b_eq))
-        held = (cost.size, a_ub.copy(), b_ub.copy(), a_eq.copy(), b_eq.copy())
-        self.rows = None if status == core.HighsStatus.kError else held
-
-
-def _result(core, highs) -> LpResult:
-    """HiGHS's outcome of its last run, as an LpResult."""
-    import numpy as np
-
-    status = highs.getModelStatus()
-    message = highs.modelStatusToString(status)
-    if status != core.HighsModelStatus.kOptimal:
-        return LpResult(False, None, None, message)
-    x = np.array(highs.getSolution().col_value)
-    return LpResult(True, x, highs.getInfo().objective_function_value, message)
-
-
-def linprog(cost, a_ub, b_ub, a_eq=None, b_eq=None) -> LpResult:
-    """Minimize cost @ x over free x subject to a_ub @ x <= b_ub and a_eq @ x = b_eq.
-
-    One solve by HiGHS with the model and options of scipy's
-    ``linprog(method="highs")``, so it returns the same floats.  Every call
-    runs on the process's one held HiGHS model (see the module docstring).
-    When the call's ``a_ub`` and ``b_ub`` equal the held copies bit for bit
-    and the held equality rows are a prefix of the call's, only the new
-    rows and the cost go to HiGHS; any other call builds its model from
-    numpy, which then becomes the held one.  scipy is imported on the first
-    call: single-block commands load none of it.
+    The plain LP, min cost @ T over the transfer polytope, comes first;
+    HiGHS failing to solve it raises `LpInfeasibleError`.  Pinned LP k then
+    adds the row that holds the LP before it at its optimum (right-hand side
+    ``float(cost @ x)`` after the plain LP, ``fun`` after a pinned one) and
+    minimizes T_k.  The chain stops at the first pinned LP HiGHS does not
+    solve; one it refuses raises `LpDataError`.
     """
     import numpy as np
 
-    cost = np.asarray(cost, dtype=float)
-    a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
-    if a_eq is None:
-        a_eq, b_eq = np.empty((0, cost.size)), np.empty(0)
-    a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
-    if not all(np.isfinite(v).all() for v in (cost, a_ub, b_ub, a_eq, b_eq)):
-        raise LpDataError("transfer LP data must be finite")
-    if not (
-        cost.ndim == 1
-        and a_ub.ndim == a_eq.ndim == 2
-        and a_ub.shape[1] == a_eq.shape[1] == cost.size
-    ):
-        raise LpDataError(
-            f"transfer LP has {cost.size} costs but a_ub of shape {a_ub.shape} "
-            f"and a_eq of shape {a_eq.shape}"
-        )
-    core, held = _highs()
-    with held.lock:
-        if not held.extend(core, cost, a_ub, b_ub, a_eq, b_eq):
-            held.build(core, cost, a_ub, b_ub, a_eq, b_eq)
-        held.highs.run()
-        return _result(core, held.highs)
+    core, options = _highs()
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(_build_lp(core, cost, a_ub, b_ub))
+    n = cost.size
+    error, pin = core.HighsStatus.kError, None  # pin: the last LP's cost row and optimum
+    for k, objective_row in enumerate([cost, *np.eye(n)]):
+        if pin is not None:
+            row, rhs = pin
+            cols, bound = np.flatnonzero(row), np.array([rhs])
+            if (
+                highs.addRows(1, bound, bound, cols.size, np.zeros(1, dtype=int), cols, row[cols]) == error
+                or highs.changeColsCost(n, np.arange(n), objective_row) == error
+                or highs.passModel(highs.getLp()) == error
+            ):
+                raise LpDataError(
+                    f"HiGHS refused pinned LP {k} of the transfer LP's tie-break chain "
+                    f"(row coefficients up to {np.abs(row).max():g}, right-hand side {rhs:g})"
+                )
+        highs.run()
+        status = highs.getModelStatus()
+        if status != core.HighsModelStatus.kOptimal:
+            if pin is None:
+                raise LpInfeasibleError(f"transfer LP failed: {highs.modelStatusToString(status)}")
+            return
+        x = np.array(highs.getSolution().col_value)
+        fun = highs.getInfo().objective_function_value
+        yield x, fun
+        pin = (objective_row, fun if pin else float(cost @ x))
 
 
 class ScheduleConditionError(ValueError):
@@ -355,7 +276,7 @@ def _lp_constraints(prob: MultiBlockProblem, thetas, e_is):
 
     p, m = prob.params, prob.model
     n = prob.n_blocks
-    limit = _highs()[1].matrix_limit
+    limit = _highs()[1].large_matrix_value
     # Prefix sums >= 0, then T_i <= eta*e_avg - g_i.
     rows = [np.tril(np.full((n, n), -1.0)), np.eye(n)]
     rhs = [np.zeros(n), p.eta * p.e_avg - np.array(prob.g_list)]
@@ -389,9 +310,11 @@ def lp_step(prob: MultiBlockProblem, thetas, e_is) -> tuple[float, ...]:
     Minimizes sum_i o_i * T_i over the transfer polytope, where o_i is block
     i's unit-budget objective (the transfer-dependent part of the total
     objective, negated).  Ties are broken toward the lexicographically
-    smallest T through a chain of pinning LPs.  A boundary coefficient
-    e_lim - e_i at or above HiGHS's large_matrix_value raises
-    `LpDataError`: HiGHS would refuse the model unsolved.
+    smallest T through a chain of pinning LPs (`_chain`); the plain optimum
+    is kept if the chain stops early or its point leaves the polytope or the
+    optimal face.  Non-finite LP data, a boundary coefficient e_lim - e_i at
+    or above HiGHS's large_matrix_value, and a pinned row HiGHS refuses raise
+    `LpDataError`.
     """
     import numpy as np
 
@@ -399,25 +322,16 @@ def lp_step(prob: MultiBlockProblem, thetas, e_is) -> tuple[float, ...]:
     n = prob.n_blocks
     cost = np.array([objective(thetas[i], e_is[i], p, m, budget=1.0) for i in range(n)])
     a_ub, b_ub = _lp_constraints(prob, thetas, e_is)
-    res = linprog(cost, a_ub, b_ub)
-    if not res.success:
-        raise LpInfeasibleError(f"transfer LP failed: {res.message}")
-    best = res.x
-    value = float(cost @ best)
-    # Lexicographic tie-break: pin the objective, then minimize coordinates
-    # in order.  Keep the plain optimum if the chain fails or its point
-    # leaves the polytope or the optimal face.
-    a_eq, b_eq = [cost], [value]
-    for unit in np.eye(n):
-        tie = linprog(unit, a_ub, b_ub, np.array(a_eq), np.array(b_eq))
-        if not tie.success:
-            break
-        a_eq.append(unit)
-        b_eq.append(float(tie.fun))
-    else:
-        slack = a_ub @ tie.x - b_ub
-        if np.all(slack <= 1e-9) and abs(cost @ tie.x - value) <= 1e-10 * max(1.0, abs(value)):
-            best = tie.x
+    if not all(np.isfinite(v).all() for v in (cost, a_ub, b_ub)):
+        raise LpDataError("transfer LP data must be finite")
+    lps = list(_chain(cost, a_ub, b_ub))
+    best = lps[0][0]
+    if len(lps) == 1 + n:
+        tie = lps[-1][0]
+        value = float(cost @ best)
+        slack = a_ub @ tie - b_ub
+        if np.all(slack <= 1e-9) and abs(cost @ tie - value) <= 1e-10 * max(1.0, abs(value)):
+            best = tie
     return tuple(float(t) for t in best)
 
 
@@ -427,7 +341,8 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     Initialized from the constructive schedule when the suffix-sum condition
     holds (the first pass is then already optimal), otherwise from zeros.
     The objective is non-decreasing across steps; convergence is declared on
-    an improvement below 1e-9.  An infeasible transfer LP raises
+    an improvement below 1e-9; no convergence within _MAX_ITERATIONS passes
+    raises `SolverError`.  An infeasible transfer LP raises
     `LpInfeasibleError`.  Blocks that share an overhead g_i + T_i, within a
     pass or across passes, share one `algorithm1` solve.
     """
@@ -468,6 +383,8 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
         thetas = [cand.theta for cand, _ in blocks]
         e_is = [cand.e_i for cand, _ in blocks]
         transfers = lp_step(prob, thetas, e_is)
+    else:
+        raise SolverError(f"no convergence in {_MAX_ITERATIONS} passes of the alternation")
 
     return MultiBlockSolution(
         per_block=tuple(full for _, full in blocks),

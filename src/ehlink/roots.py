@@ -32,12 +32,13 @@ def brentq(
     fb: float,
     xtol: float,
     rtol: float,
+    maxiter: int = _MAX_ITER,
 ) -> float:
     """Root of f in the float bracket [a, b], given fa = f(a) and fb = f(b).
 
     Raises ValueError for xtol <= 0, rtol < 4*eps, a NaN function value, or
-    f(a) and f(b) of the same sign, and RuntimeError after 100 iterations,
-    as scipy does.
+    f(a) and f(b) of the same sign, and RuntimeError after maxiter
+    iterations (scipy's default, 100, unless given), as scipy does.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -56,7 +57,7 @@ def brentq(
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(_MAX_ITER):
+    for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -101,4 +102,4 @@ def brentq(
         fcur = f(xcur)
         if fcur != fcur:
             raise _nan_error(xcur)
-    raise RuntimeError(f"Failed to converge after {_MAX_ITER} iterations.")
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

@@ -38,7 +38,6 @@ __all__ = [
     "m_function",
     "n_function",
     "solve_lemma3",
-    "solve_lemma4",
     "case_ab_pairs",
     "solve_case_c",
     "recover_full",
@@ -260,13 +259,6 @@ def _e0_of_theta(p: SystemParams, m: DecoderEnergyModel):
     return e0
 
 
-def solve_lemma4(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
-    """Constrained optimizer of e_i for fixed theta > 1."""
-    if not theta > 1:
-        raise ValueError("solve_lemma4 requires theta > 1")
-    return min(max(_e_star(theta, p, m), _e0_of_theta(p, m)(theta)), p.e_lim)
-
-
 def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, float, Case]]:
     """All case (a) stationary pairs plus the case (b) pair.
 
@@ -383,7 +375,10 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
     if not hi > 1.0 or h_hi > 0.0:
         theta = hi if hi > 1.0 else 1.0 + 1e-12
     else:
-        theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16)
+        # With e_avg a few ulps below e_lim, theta' passes 1e11 and brentq
+        # can need more than scipy's 100 iterations (125 at most in a
+        # 4000-draw probe); bisection from [1, float max] needs about 1065.
+        theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16, maxiter=2000)
     e_i = e0(theta)
     return CandidateSolution(
         theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)

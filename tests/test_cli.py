@@ -96,6 +96,61 @@ class TestSolveSingle:
         assert bits >= single_block.constant_power_baseline(p, model).bits_per_use
         assert bits >= oracle.grid_search_p2(p, model, oracle.GridSpec(1000, 1000))[2]
 
+    # e_avg a hair below e_lim: case (c)'s theta' is 1e11 and beyond.  These
+    # exited 2 with brentq's "Failed to converge" or with a message that
+    # blamed the model's growth.
+    HAIR = {
+        "ulps-below-0.1": ["--eta", "0.01", "--e-avg", "0.09999999999999998", "--e-lim", "0.1"],
+        "ulp-below-1": ["--eta", "1", "--e-avg", "0.9999999999999998", "--e-lim", "1"],
+        "1e-6-below-1000": [
+            "--eta", "1", "--e-avg", "999.999999", "--e-lim", "1000",
+            "--ed-model", "power-law:c=0.05,p=1",
+        ],
+    }
+
+    def _hair(self, capsys, name):
+        """The command's printed row, and the library's solve of the same link."""
+        argv = self.HAIR[name]
+        code, out, err = run_cli(capsys, "solve-single", *argv)
+        assert (code, err) == (0, "")
+        # The row does not quote the model name's comma: read it from the end.
+        header, row = out.strip().splitlines()
+        fields = dict(zip(reversed(header.split(",")), reversed(row.split(","))))
+        flags = dict(zip(argv[::2], argv[1::2]))
+        p = SystemParams(
+            eta=float(flags["--eta"]), g=0.0, e_avg=float(flags["--e-avg"]), e_lim=float(flags["--e-lim"])
+        )
+        model = cli.parse_model(flags.get("--ed-model", "theta-log-theta"))
+        cand, full = algorithm1(p, model)
+        assert fields["case"] == cand.case_label.value
+        assert float(fields["bits_per_use"]) == pytest.approx(full.bits_per_use, rel=1e-11)
+        return cand, full.bits_per_use, p, model
+
+    @pytest.mark.parametrize("name", HAIR)
+    def test_e_avg_a_hair_below_e_lim_solves(self, capsys, name):
+        cand, bits, p, model = self._hair(capsys, name)
+        assert cand.case_label is Case.MAX_INFO_POWER
+        assert bits >= oracle.grid_search_p2(p, model, oracle.GridSpec(1000, 1000))[2]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ulps-below-0.1",
+            "ulp-below-1",
+            pytest.param(
+                "1e-6-below-1000",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 4, defect 2: feasible() drops the case (c) point, "
+                    "which beats the baseline, by an absolute tolerance",
+                ),
+            ),
+        ],
+    )
+    def test_e_avg_a_hair_below_e_lim_is_not_below_the_baseline(self, capsys, name):
+        _, bits, p, model = self._hair(capsys, name)
+        assert bits >= single_block.constant_power_baseline(p, model).bits_per_use
+
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "single.csv"
         code, out, _ = run_cli(capsys, "solve-single", "--out", str(out_file))

@@ -27,9 +27,9 @@ from ehlink import (
 from ehlink.multi_block import (
     LpDataError,
     LpInfeasibleError,
-    LpResult,
     ScheduleConditionError,
 )
+from ehlink.single_block import SolverError
 
 MODEL = theta_log_theta_model()
 # Reference link for the threshold study: unit efficiency, peak power 4,
@@ -261,6 +261,23 @@ class TestIterativeSolver:
         iterative_solver(MultiBlockProblem(p, (0.0, -0.0), MODEL))
         assert [g.hex() for g in solved] == ["0x0.0p+0", "-0x0.0p+0"]
 
+    def test_running_out_of_passes_is_an_error(self, monkeypatch):
+        # This problem needs two LP steps, so three passes: the third finds
+        # no improvement.
+        u = threshold_u(P_FIG, MODEL, 0.1)
+        prob = MultiBlockProblem(SystemParams(eta=1.0, g=0.1, e_avg=u + 0.05, e_lim=4.0), (0.1, 0.3) * 3, MODEL)
+        steps = []
+        step = multi_block.lp_step
+        monkeypatch.setattr(multi_block, "lp_step", lambda *args: steps.append(args) or step(*args))
+        solution = iterative_solver(prob)
+        assert len(steps) == 2
+        for limit in (1, 2):
+            monkeypatch.setattr(multi_block, "_MAX_ITERATIONS", limit)
+            with pytest.raises(SolverError, match=f"^no convergence in {limit} passes"):
+                iterative_solver(prob)
+        monkeypatch.setattr(multi_block, "_MAX_ITERATIONS", 3)
+        assert iterative_solver(prob) == solution
+
     def test_lp_failure_propagates(self, monkeypatch, capsys):
         # A failed transfer LP is a typed error, never a silent stop.
         def infeasible(prob, thetas, e_is):
@@ -301,41 +318,42 @@ class TestLpStep:
         assert lp_step(prob, [2.0], [math.nextafter(1e15, 2e15)]) == (0.0,)
 
     @staticmethod
-    def _route(monkeypatch, edit=lambda k, res: res):
-        """Send every LP through `edit(call index, result)`; return the results lp_step saw."""
-        direct = multi_block.linprog
+    def _route(monkeypatch, edit=lambda lps: lps):
+        """Pass the chain's (x, fun) list through `edit`; return the list lp_step saw."""
+        chain = multi_block._chain
         seen = []
 
-        def routed(*args):
-            seen.append(edit(len(seen), direct(*args)))
-            return seen[-1]
+        def routed(*data):
+            seen[:] = edit(list(chain(*data)))
+            return iter(seen)
 
-        monkeypatch.setattr(multi_block, "linprog", routed)
+        monkeypatch.setattr(multi_block, "_chain", routed)
         return seen
 
     def test_one_solve_then_one_pinned_solve_per_block(self, monkeypatch):
-        # The benchmark's tracer counts multi_block.linprog calls: each of
-        # the 1 + N solves must go through it.
         seen = self._route(monkeypatch)
         p = SystemParams(eta=1.0, g=0.0, e_avg=3.0, e_lim=4.0)
         prob = MultiBlockProblem(p, (0.1, 0.5, 0.3, 0.0), MODEL)
         lp_step(prob, [1.5, 2.0, 2.5, 3.0], [1.0, 2.0, 3.0, 4.0])
         assert len(seen) == 1 + 4
-        assert all(res.success for res in seen)
 
     def test_one_model_build_per_lp_step_on_one_highs(self, monkeypatch):
-        # The pinned LPs only add rows to the held model: of the 1 + N LPs,
-        # only the plain solve builds a model from numpy, and every LP of the
-        # process runs on the one HiGHS instance _highs() made.
-        builds = []
-        direct = multi_block._build_lp
+        # Each lp_step makes one HiGHS instance and builds one model from
+        # numpy on it: the pinned LPs only add rows to that model.
+        builds, made = [], []
+        core, options = multi_block._highs()
+        build = multi_block._build_lp
 
-        def counted(*args):
-            builds.append(args)
-            return direct(*args)
+        class Core:
+            def __getattr__(self, name):
+                return getattr(core, name)
 
-        monkeypatch.setattr(multi_block, "_build_lp", counted)
-        highs = multi_block._highs()[1].highs
+            def _Highs(self):
+                made.append(core._Highs())
+                return made[-1]
+
+        monkeypatch.setattr(multi_block, "_highs", lambda: (Core(), options))
+        monkeypatch.setattr(multi_block, "_build_lp", lambda *args: builds.append(args) or build(*args))
         p = SystemParams(eta=1.0, g=0.0, e_avg=3.0, e_lim=4.0)
         steps = [
             (MultiBlockProblem(p, (0.1, 0.5, 0.3, 0.0), MODEL), [1.5, 2.0, 2.5, 3.0], [1.0, 2.0, 3.0, 4.0]),
@@ -344,21 +362,19 @@ class TestLpStep:
         ]
         for step in steps:
             lp_step(*step)
-        assert len(builds) == len(steps)
-        assert multi_block._highs()[1].highs is highs
-        assert multi_block._highs.cache_info().misses == 1
+        assert len(builds) == len(made) == len(steps)
 
     def test_chain_picks_the_lexicographic_optimum(self, monkeypatch):
         seen = self._route(monkeypatch)
         assert lp_step(*TIE) == (0.0, 0.0, 0.0)
-        assert tuple(seen[0].x) == pytest.approx((0.8, 0.8, -1.6), abs=1e-12)
+        assert tuple(seen[0][0]) == pytest.approx((0.8, 0.8, -1.6), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_plain_optimum_kept_when_chain_lp_fails(self, monkeypatch, k):
-        failed = LpResult(False, None, None, "Infeasible")
-        seen = self._route(monkeypatch, lambda i, res: failed if i == k else res)
-        assert lp_step(*TIE) == tuple(seen[0].x)
-        assert len(seen) == k + 1
+        # The chain stops at the first pinned LP HiGHS does not solve: here LP k.
+        seen = self._route(monkeypatch, lambda lps: lps[:k])
+        assert lp_step(*TIE) == tuple(seen[0][0])
+        assert len(seen) == k
 
     @pytest.mark.parametrize(
         "moved",
@@ -371,9 +387,16 @@ class TestLpStep:
         ids=["leaves-polytope", "leaves-optimal-face"],
     )
     def test_plain_optimum_kept_when_chain_point_is_rejected(self, monkeypatch, moved):
-        def edit(i, res):
-            return res._replace(x=np.array(moved)) if i == 3 else res
-
-        seen = self._route(monkeypatch, edit)
-        assert lp_step(*TIE) == tuple(seen[0].x)
+        seen = self._route(monkeypatch, lambda lps: lps[:-1] + [(np.array(moved), lps[-1][1])])
+        assert lp_step(*TIE) == tuple(seen[0][0])
         assert len(seen) == 4
+
+    def test_pinned_row_highs_refuses_is_a_data_error(self, monkeypatch):
+        # Block 1's cost reaches HiGHS's matrix value limit: the plain LP
+        # solves, but the first pinned row holds that cost as a coefficient.
+        costs = iter([1e15, 1.0, 1.0])
+        monkeypatch.setattr(multi_block, "objective", lambda *args, **kwargs: next(costs))
+        seen = self._route(monkeypatch)
+        with pytest.raises(LpDataError, match=r"^HiGHS refused pinned LP 1 of .* up to 1e\+15"):
+            lp_step(*TIE)
+        assert seen == []

@@ -116,6 +116,21 @@ class TestEdgeCases:
         assert result == _scipy(f, -1e300, 1e300, 1e-12, 8.9e-16)
         assert result == (RuntimeError, "Failed to converge after 100 iterations.")
 
+    @pytest.mark.parametrize("maxiter", [150, 2000])
+    def test_iteration_limit_is_scipys_maxiter(self, maxiter):
+        # About 1037 halvings take that bracket down to xtol.
+        f = lambda x: 1.0 if x > 0.3 else -1.0  # noqa: E731
+        try:
+            expected = optimize.brentq(f, -1e300, 1e300, xtol=1e-12, rtol=8.9e-16, maxiter=maxiter)
+        except RuntimeError as exc:
+            expected = str(exc)
+        try:
+            result = brentq(f, -1e300, 1e300, f(-1e300), f(1e300), 1e-12, 8.9e-16, maxiter=maxiter)
+        except RuntimeError as exc:
+            result = str(exc)
+        assert result == expected
+        assert (result == "Failed to converge after 150 iterations.") == (maxiter == 150)
+
     def test_tolerance_checks(self):
         f = lambda x: x  # noqa: E731
         for xtol, rtol in ((0.0, 8.9e-16), (-1e-12, 8.9e-16), (1e-12, 1e-16)):

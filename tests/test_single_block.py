@@ -31,7 +31,6 @@ from ehlink import (
     recover_full,
     solve_case_c,
     solve_lemma3,
-    solve_lemma4,
     theta_log_theta_model,
 )
 from ehlink import single_block
@@ -149,19 +148,13 @@ class TestLemma3:
 
 
 class TestLemma4:
+    """Lemma 4's stationary energy for fixed theta: the N-root `_e_star`."""
+
     def test_frozen_scan_root(self):
         # Dense scan of N(e, theta=2): sign change in [2.0440335, 2.0440346].
-        e = solve_lemma4(2.0, P_REF, MODEL)
+        e = single_block._e_star(2.0, P_REF, MODEL)
         assert e == pytest.approx(2.0440336490462387, abs=1e-6)
         assert abs(n_function(e, 2.0, P_REF, MODEL)) < 1e-10
-
-    def test_clipped_at_peak_power(self):
-        p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=1.5)
-        assert solve_lemma4(2.0, p, MODEL) == p.e_lim
-
-    def test_requires_theta_above_one(self):
-        with pytest.raises(ValueError):
-            solve_lemma4(1.0, P_REF, MODEL)
 
 
 @pytest.mark.parametrize(
@@ -304,10 +297,6 @@ def _ref_solve_case_c(p, m):
     return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m))
 
 
-def _ref_solve_lemma4(theta, p, m):
-    return min(max(_ref_e_star(theta, p, m), _ref_e0(theta, p, m)), p.e_lim)
-
-
 def _bits(fn, *args):
     """fn(*args) with every float as its hex (so -0.0 and 0.0 differ), or its error."""
     try:
@@ -362,7 +351,6 @@ class TestHoistedRootFunctions:
         assert _same(single_block._theta_star, _ref_theta_star, e_i, p, model)
         assert _same(single_block._e_star, _ref_e_star, theta, p, model)
         assert _same(solve_case_c, _ref_solve_case_c, p, model)
-        assert _same(solve_lemma4, _ref_solve_lemma4, theta, p, model)
 
 
 class TestRankedCandidates:
