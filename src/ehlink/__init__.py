@@ -1,7 +1,7 @@
 """Joint power, time-split, and rate optimization for a wireless link that
 delivers both energy and information to a time-switching receiver."""
 
-from .channel import capacity, capacity_derivative, capacity_pair, crossover, q_function
+from .channel import capacity, capacity_pair, crossover, q_function
 from .decoder_energy import (
     DecoderEnergyModel,
     inverse_energy,

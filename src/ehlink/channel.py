@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["q_function", "crossover", "capacity", "capacity_derivative", "capacity_pair"]
+__all__ = ["q_function", "crossover", "capacity", "capacity_pair"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_4PI = 1.0 / math.sqrt(4.0 * math.pi)
@@ -61,28 +61,17 @@ def capacity(e_i):
     return _capacity_terms(e_i)[0]
 
 
-def capacity_derivative(e_i):
-    """First derivative of capacity with respect to e_i, for e_i > 0.
-
-    Equals [log2(1-eps) - log2(eps)] * exp(-e_i) / (sqrt(4*pi) * sqrt(e_i))
-    with eps the crossover probability.  The formula is singular at e_i = 0,
-    which is rejected; the solvers never need the derivative there.  Once
-    eps underflows to 0 (e_i above about 745) the true value is below 1e-300,
-    and 0.0 is returned.
-    """
-    if e_i <= 0:
-        raise ValueError("capacity_derivative requires e_i > 0")
-    return capacity_pair(e_i)[1]
-
-
 def capacity_pair(e_i):
-    """(capacity(e_i), capacity_derivative(e_i)) from one crossover, for e_i > 0.
+    """(C(e_i), C'(e_i)) from one crossover eps, for e_i > 0.
 
-    The same floats, and the same errors, as the two calls in that order.
+    C' = [log2(1-eps) - log2(eps)] * exp(-e_i) / (sqrt(4*pi) * sqrt(e_i)).
+    That formula is singular at e_i = 0, which is rejected; the solvers never
+    need the derivative there.  Once eps underflows to 0 (e_i above about
+    745) the true C' is below 1e-300, and 0.0 is returned.
     """
     c, log_ratio = _capacity_terms(e_i)
     if e_i <= 0:
-        raise ValueError("capacity_derivative requires e_i > 0")
+        raise ValueError("capacity_pair requires e_i > 0")
     if log_ratio is None:
         return c, 0.0
     return c, log_ratio * _INV_SQRT_4PI * math.exp(-e_i) / math.sqrt(e_i)

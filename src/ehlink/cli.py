@@ -135,9 +135,9 @@ def cmd_solve_single(args) -> int:
     p = _params(args)
     model = parse_model(args.ed_model)
     cand, full = single_block.algorithm1(p, model)
-    row = (p.eta, p.g, p.e_avg, p.e_lim, model.name, cand.case_label.value, *_solution(full))
-    header = "eta,g,e_avg,e_lim,model,case,theta,e_i,e_e,alpha,rate,bits_per_use"
-    _emit_csv(args, {}, header, [row])
+    row = (p.eta, p.g, p.e_avg, p.e_lim, cand.case_label.value, *_solution(full))
+    header = "eta,g,e_avg,e_lim,case,theta,e_i,e_e,alpha,rate,bits_per_use"
+    _emit_csv(args, {"model": model.name}, header, [row])
     return 0
 
 
@@ -201,7 +201,11 @@ def cmd_sweep_single(args) -> int:
 
 
 def _case_margins(p: SystemParams, model) -> tuple[str, float]:
-    """Winning case label and its margin over the best candidate of another case."""
+    """Winning case label and its margin over the best candidate of another case.
+
+    A zero budget has no contest: `algorithm1`'s label, margin 0."""
+    if p.budget <= 0.0:
+        return single_block.algorithm1(p, model)[0].case_label.value, 0.0
     ranked = single_block.ranked_candidates(p, model)
     if not ranked:
         return "invalid", math.nan

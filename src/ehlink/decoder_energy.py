@@ -2,10 +2,11 @@
 
 A model maps theta = C/(C - R) >= 1 to the decoding energy per channel use.
 Every model must be zero at theta = 1, non-decreasing, convex, and unbounded
-as theta grows, and must supply its exact derivative (the solvers consume it
-directly).  Two built-ins are provided: theta*log2(theta), which matches
-iterative-decoding complexity results for LDPC codes, and a power-law family
-c*(theta-1)^p for exercising solver generality.
+as theta grows, and must supply its exact derivative with its value (the
+solvers read both at each theta they visit).  Two built-ins are provided:
+theta*log2(theta), which matches iterative-decoding complexity results for
+LDPC codes, and a power-law family c*(theta-1)^p for exercising solver
+generality.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ _THETA_SLACK = 1e-12
 class DecoderEnergyModel:
     """Immutable decoding-energy curve with its derivative.
 
-    `evaluate` and `derivative` each take a float theta >= 1 and return a
-    float.
+    `evaluate` takes a float theta >= 1 and returns E(theta); `evaluate_pair`
+    returns (E(theta), E'(theta)) from one check of theta, its E bit for bit
+    the float `evaluate` returns.
     """
 
     name: str
     evaluate: Callable
-    derivative: Callable
+    evaluate_pair: Callable
 
 
 def _check_theta(theta):
@@ -55,11 +57,12 @@ def theta_log_theta_model() -> DecoderEnergyModel:
         t = _check_theta(theta)
         return t * math.log2(t)
 
-    def derivative(theta):
+    def evaluate_pair(theta):
         t = _check_theta(theta)
-        return math.log2(t) + _LOG2E
+        log_t = math.log2(t)
+        return t * log_t, log_t + _LOG2E
 
-    return DecoderEnergyModel("theta-log-theta", evaluate, derivative)
+    return DecoderEnergyModel("theta-log-theta", evaluate, evaluate_pair)
 
 
 def power_law_model(c: float = 1.0, p: float = 2.0) -> DecoderEnergyModel:
@@ -76,11 +79,11 @@ def power_law_model(c: float = 1.0, p: float = 2.0) -> DecoderEnergyModel:
         t = _check_theta(theta)
         return c * (t - 1.0) ** p
 
-    def derivative(theta):
+    def evaluate_pair(theta):
         t = _check_theta(theta)
-        return c * p * (t - 1.0) ** (p - 1.0)
+        return c * (t - 1.0) ** p, c * p * (t - 1.0) ** (p - 1.0)
 
-    return DecoderEnergyModel(f"power-law:c={c:g},p={p:g}", evaluate, derivative)
+    return DecoderEnergyModel(f"power-law:c={c:g},p={p:g}", evaluate, evaluate_pair)
 
 
 @functools.cache

@@ -79,10 +79,10 @@ def _objective_rows(theta, energy, cap, eta_e, budget, out, work):
 def _grid_argmax(theta_grid, e_grid, budget, p, m, k1=None, rhs=None):
     """First maximum, in row-major order, of the objective over the grid.
 
-    With ``k1`` and ``rhs``, only cells with E(theta) + k1*e >= rhs - 1e-10
-    count, and a grid with none raises.  Every cell is evaluated, but
-    _BLOCK_ROWS theta rows at a time in arrays allocated once per call, so
-    no array outgrows the cache.  A later block takes over only on a
+    With ``k1`` and ``rhs``, only cells with E(theta) + k1*e >= rhs, within
+    1e-10 * max(1, rhs), count, and a grid with none raises.  Every cell is
+    evaluated, but _BLOCK_ROWS theta rows at a time in arrays allocated once
+    per call, so no array outgrows the cache.  A later block takes over only on a
     strictly larger value, as one argmax over the whole grid would.
     Returns (i, j, value).
     """
@@ -99,7 +99,7 @@ def _grid_argmax(theta_grid, e_grid, budget, p, m, k1=None, rhs=None):
 
     cap, eta_e = repeated(_capacity(e_grid)), repeated(p.eta * e_grid)
     if k1 is not None:
-        threshold, k1_e = rhs - 1e-10, repeated(k1 * e_grid)
+        threshold, k1_e = rhs - 1e-10 * max(1.0, rhs), repeated(k1 * e_grid)
         passes = np.empty(shape, dtype=bool)
     out, work = np.empty(shape), np.empty(shape)
     best = (-1, -1, -np.inf)

@@ -163,16 +163,18 @@ def feasible(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) -
     span = p.e_lim - p.e_avg
     lhs = m.evaluate(max(theta, 1.0)) + (p.eta * p.e_lim - p.g) / span * max(e_i, 0.0)
     rhs = p.budget / span * p.e_lim
-    return lhs >= rhs - FEAS_TOL
+    # The sides grow like 1/span, to 1e9 as e_avg nears e_lim: scale the tolerance.
+    return lhs >= rhs - FEAS_TOL * max(1.0, rhs)
 
 
 def _m_of_theta(e_i: float, p: SystemParams, m: DecoderEnergyModel):
-    """theta -> M(theta) at fixed e_i, with eta*e_i taken once."""
+    """theta -> M(theta) at fixed e_i, with eta*e_i taken once and E, E' from one call."""
     eta_e = p.eta * e_i
-    evaluate, derivative = m.evaluate, m.derivative
+    evaluate_pair = m.evaluate_pair
 
     def m_of(theta: float) -> float:
-        return eta_e + evaluate(theta) - (theta - 1.0) * theta * derivative(theta)
+        energy, slope = evaluate_pair(theta)
+        return eta_e + energy - (theta - 1.0) * theta * slope
 
     return m_of
 
@@ -246,17 +248,16 @@ def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
 
 
-def _e0_of_theta(p: SystemParams, m: DecoderEnergyModel):
-    """theta -> e_i on the e_e = e_lim boundary (floored at 0), coefficients taken once."""
+def _e0_of_energy(p: SystemParams):
+    """E(theta) -> e_i = top - k*E(theta) on the e_e = e_lim boundary (floored at 0), and k."""
     denom = p.eta * p.e_lim - p.g
     top = p.budget / denom * p.e_lim
-    slope = (p.e_lim - p.e_avg) / denom
-    evaluate = m.evaluate
+    k = (p.e_lim - p.e_avg) / denom
 
-    def e0(theta: float) -> float:
-        return max(0.0, top - slope * evaluate(theta))
+    def e0(energy: float) -> float:
+        return max(0.0, top - k * energy)
 
-    return e0
+    return e0, k
 
 
 def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, float, Case]]:
@@ -343,15 +344,16 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
     """
     if p.budget <= 0.0:
         return None
-    k = (p.e_lim - p.e_avg) / (p.eta * p.e_lim - p.g)
-    e0, e_lim, derivative = _e0_of_theta(p, m), p.e_lim, m.derivative
+    e0, k = _e0_of_energy(p)
+    e_lim, evaluate_pair = p.e_lim, m.evaluate_pair
 
     def h(theta: float) -> float:
-        e = e0(theta)
+        energy, slope = evaluate_pair(theta)
+        e = e0(energy)
         if e <= 0.0:
             return -math.inf
         c, c_rate = capacity_pair(e)
-        e_prime = -k * derivative(theta)
+        e_prime = -k * slope
         c_prime = c_rate * e_prime
         q = theta * theta - theta
         gap = e_lim - e
@@ -379,7 +381,7 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
         # can need more than scipy's 100 iterations (125 at most in a
         # 4000-draw probe); bisection from [1, float max] needs about 1065.
         theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16, maxiter=2000)
-    e_i = e0(theta)
+    e_i = e0(m.evaluate(theta))
     return CandidateSolution(
         theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)
     )

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from ehlink import capacity, capacity_derivative, capacity_pair, crossover, oracle, q_function
+from ehlink import capacity, capacity_pair, crossover, oracle, q_function
 
 
 class TestQFunction:
@@ -100,37 +100,43 @@ class TestCapacity:
         )
 
 
+def _c_prime(e_i):
+    """C'(e_i), as the solvers read it: the second float of capacity_pair."""
+    return capacity_pair(e_i)[1]
+
+
 class TestCapacityDerivative:
     def test_matches_finite_differences(self):
         h = 1e-6
         for e in (0.05, 0.5, 1.0, 3.0, 8.0):
             fd = (capacity(e + h) - capacity(e - h)) / (2.0 * h)
-            assert capacity_derivative(e) == pytest.approx(fd, rel=1e-7)
+            assert _c_prime(e) == pytest.approx(fd, rel=1e-7)
 
     def test_frozen_values(self):
-        assert capacity_derivative(1.0) == pytest.approx(0.3684326578823338, rel=1e-8)
-        assert capacity_derivative(0.5) == pytest.approx(0.5823755698797228, rel=1e-8)
+        assert _c_prime(1.0) == pytest.approx(0.3684326578823338, rel=1e-8)
+        assert _c_prime(0.5) == pytest.approx(0.5823755698797228, rel=1e-8)
 
     def test_positive_and_decreasing_tail(self):
         es = np.linspace(0.5, 10.0, 500)
-        ds = np.array([capacity_derivative(e) for e in es])
+        ds = np.array([_c_prime(e) for e in es])
         assert np.all(ds > 0)
         assert np.all(np.diff(ds) < 0)
 
     def test_zero_once_crossover_underflows(self):
         # Q(sqrt(2e)) is exactly 0.0 past e ~ 745; log2(0) must not be taken.
         assert crossover(800.0) == 0.0
-        assert capacity_derivative(800.0) == 0.0
+        assert _c_prime(800.0) == 0.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            capacity_derivative(0.0)
+            _c_prime(0.0)
         with pytest.raises(ValueError):
-            capacity_derivative(-2.0)
+            _c_prime(-2.0)
 
 
-# capacity and capacity_derivative as they were before both took their
-# crossover and logs from one helper: the bits every solver output rests on.
+# C and C' as they were before both took their crossover and logs from one
+# helper: the bits every solver output rests on.  Only the error message of
+# C' names its new home.
 def _two_crossover_capacity(e_i):
     eps = crossover(e_i)
     if eps <= 0.0:
@@ -143,7 +149,7 @@ def _two_crossover_capacity(e_i):
 
 def _two_crossover_derivative(e_i):
     if e_i <= 0:
-        raise ValueError("capacity_derivative requires e_i > 0")
+        raise ValueError("capacity_pair requires e_i > 0")
     eps = crossover(e_i)
     if eps == 0.0:
         return 0.0
@@ -180,19 +186,21 @@ class TestCapacityPair:
     @given(e_i=ENERGIES)
     def test_matches_the_two_calls_bit_for_bit(self, e_i):
         assert _outcome(capacity_pair, e_i) == _outcome(
-            lambda e: (capacity(e), capacity_derivative(e)), e_i
+            lambda e: (capacity(e), _two_crossover_derivative(e)), e_i
         )
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(e_i=ENERGIES)
     def test_each_function_keeps_its_two_crossover_bits(self, e_i):
         assert _outcome(capacity, e_i) == _outcome(_two_crossover_capacity, e_i)
-        assert _outcome(capacity_derivative, e_i) == _outcome(_two_crossover_derivative, e_i)
+        assert _outcome(capacity_pair, e_i) == _outcome(
+            lambda e: (_two_crossover_capacity(e), _two_crossover_derivative(e)), e_i
+        )
 
     def test_edges(self):
         assert capacity_pair(800.0) == (1.0, 0.0)
         assert capacity_pair(1e-300) == (0.0, 0.0)
-        with pytest.raises(ValueError, match="capacity_derivative requires e_i > 0"):
+        with pytest.raises(ValueError, match="capacity_pair requires e_i > 0"):
             capacity_pair(0.0)
         with pytest.raises(ValueError, match=">= 0"):
             capacity_pair(-1.0)

@@ -39,6 +39,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def single_row(out):
+    """solve-single's meta lines as a dict, and its one row as a header -> field dict."""
+    lines = out.strip().splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    header, row = (line for line in lines if not line.startswith("#"))
+    return meta, dict(zip(header.split(","), row.split(",")))
+
+
 # stdout of each command, recorded before the five solve and sweep commands
 # shared one CSV writer.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
@@ -57,8 +65,8 @@ class TestSolveSingle:
             "--eta", "0.5", "--g", "0", "--e-avg", "1.0", "--e-lim", "3.0",
         )
         assert code == 0
-        header, row = out.strip().splitlines()
-        fields = dict(zip(header.split(","), row.split(",")))
+        meta, fields = single_row(out)
+        assert meta == {"model": "theta-log-theta"}
         p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
         cand, full = algorithm1(p, theta_log_theta_model())
         assert fields["case"] == cand.case_label.value
@@ -78,7 +86,9 @@ class TestSolveSingle:
             capsys, "solve-single", "--ed-model", "power-law:c=1,p=2"
         )
         assert code == 0
-        assert "power-law:c=1,p=2" in out
+        meta, fields = single_row(out)
+        assert meta == {"model": "power-law:c=1,p=2"}
+        assert len(fields) == 11 and fields["case"] in ("a", "b", "c")
 
     def test_crossover_underflow_near_peak(self, capsys):
         # e_i near 1000 makes the crossover probability underflow to 0, where
@@ -87,8 +97,7 @@ class TestSolveSingle:
             capsys, "solve-single", "--eta", "0.5", "--e-avg", "990", "--e-lim", "1000"
         )
         assert (code, err) == (0, "")
-        header, row = out.strip().splitlines()
-        fields = dict(zip(header.split(","), row.split(",")))
+        _, fields = single_row(out)
         assert fields["case"] == "c"
         p = SystemParams(eta=0.5, g=0.0, e_avg=990.0, e_lim=1000.0)
         model = theta_log_theta_model()
@@ -106,6 +115,12 @@ class TestSolveSingle:
             "--eta", "1", "--e-avg", "999.999999", "--e-lim", "1000",
             "--ed-model", "power-law:c=0.05,p=1",
         ],
+        # An absolute feasibility tolerance dropped case (c) here too, and
+        # case (b) gave 0.6040074959 against the baseline's 0.6040088570.
+        "6.6e-4-below-281": [
+            "--eta", "0.8419866932852264", "--e-avg", "280.97857063100264",
+            "--e-lim", "280.9792283089348", "--ed-model", "power-law:c=0.05,p=10",
+        ],
     }
 
     def _hair(self, capsys, name):
@@ -113,9 +128,7 @@ class TestSolveSingle:
         argv = self.HAIR[name]
         code, out, err = run_cli(capsys, "solve-single", *argv)
         assert (code, err) == (0, "")
-        # The row does not quote the model name's comma: read it from the end.
-        header, row = out.strip().splitlines()
-        fields = dict(zip(reversed(header.split(",")), reversed(row.split(","))))
+        _, fields = single_row(out)
         flags = dict(zip(argv[::2], argv[1::2]))
         p = SystemParams(
             eta=float(flags["--eta"]), g=0.0, e_avg=float(flags["--e-avg"]), e_lim=float(flags["--e-lim"])
@@ -126,27 +139,22 @@ class TestSolveSingle:
         assert float(fields["bits_per_use"]) == pytest.approx(full.bits_per_use, rel=1e-11)
         return cand, full.bits_per_use, p, model
 
+    # The winning case of each: at 1000 the boundary point of case (c) wins
+    # once feasible() scales its tolerance with the constraint's sides.
+    HAIR_CASE = {
+        "ulps-below-0.1": Case.MAX_INFO_POWER,
+        "ulp-below-1": Case.MAX_INFO_POWER,
+        "1e-6-below-1000": Case.MAX_HARVEST_POWER,
+        "6.6e-4-below-281": Case.MAX_HARVEST_POWER,
+    }
+
     @pytest.mark.parametrize("name", HAIR)
     def test_e_avg_a_hair_below_e_lim_solves(self, capsys, name):
         cand, bits, p, model = self._hair(capsys, name)
-        assert cand.case_label is Case.MAX_INFO_POWER
+        assert cand.case_label is self.HAIR_CASE[name]
         assert bits >= oracle.grid_search_p2(p, model, oracle.GridSpec(1000, 1000))[2]
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "ulps-below-0.1",
-            "ulp-below-1",
-            pytest.param(
-                "1e-6-below-1000",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="ROADMAP item 4, defect 2: feasible() drops the case (c) point, "
-                    "which beats the baseline, by an absolute tolerance",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("name", HAIR)
     def test_e_avg_a_hair_below_e_lim_is_not_below_the_baseline(self, capsys, name):
         _, bits, p, model = self._hair(capsys, name)
         assert bits >= single_block.constant_power_baseline(p, model).bits_per_use
@@ -156,7 +164,7 @@ class TestSolveSingle:
         code, out, _ = run_cli(capsys, "solve-single", "--out", str(out_file))
         assert code == 0
         assert out == ""
-        assert out_file.read_text().startswith("eta,")
+        assert out_file.read_text().startswith("# model=theta-log-theta\neta,")
 
 
 class TestSolveMulti:
@@ -200,6 +208,9 @@ class TestSolveMulti:
         )
         assert code == 2
         assert "error" in err
+
+
+P_MAP = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
 
 
 class TestSweeps:
@@ -285,10 +296,28 @@ class TestSweeps:
         b = CandidateSolution(1.4, 3.0, Case.MAX_INFO_POWER, 0.25)
         for ranked, expected in (([a1, a2, b], ("a", 0.25)), ([a1, a2], ("a", math.inf))):
             monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m: ranked)
-            assert cli._case_margins(None, None) == expected
+            assert cli._case_margins(P_MAP, None) == expected
         monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m: [])
-        case, margin = cli._case_margins(None, None)
+        case, margin = cli._case_margins(P_MAP, None)
         assert case == "invalid" and math.isnan(margin)
+
+    def test_zero_budget_is_case_a_in_every_command(self, capsys):
+        # e_avg = 0 or eta*e_avg = g leaves nothing to spend: both commands
+        # print algorithm1's zero solution label, and the map a zero margin.
+        _, out, _ = run_cli(
+            capsys, "region-map", "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0:0.5:0.5"
+        )
+        rows = [ln for ln in out.strip().splitlines() if not ln.startswith("#")][1:]
+        assert [r for r in rows if r.split(",")[1] == "0"] == ["1,0,a,0", "2,0,a,0"]
+        _, out, _ = run_cli(
+            capsys, "region-map", "--g", "0.25",
+            "--sweep", "e_lim:1:2:1", "--sweep", "e_avg:0.5:0.5:1",
+        )
+        assert out.strip().splitlines()[-2:] == ["1,0.5,a,0", "2,0.5,a,0"]
+        for argv in (["--e-avg", "0", "--e-lim", "1"], ["--g", "0.25", "--e-avg", "0.5"]):
+            _, out, _ = run_cli(capsys, "solve-single", *argv)
+            _, fields = single_row(out)
+            assert (fields["case"], fields["bits_per_use"]) == ("a", "0")
 
     def test_bad_sweep_spec_is_an_error(self, capsys):
         code, _, err = run_cli(

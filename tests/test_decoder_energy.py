@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehlink import inverse_energy, parse_model, power_law_model, theta_log_theta_model
 
@@ -28,13 +30,62 @@ class TestCurveProperties:
         h = 1e-7
         for t in (1.5, 2.0, 5.0, 20.0):
             fd = (model.evaluate(t + h) - model.evaluate(t - h)) / (2.0 * h)
-            assert model.derivative(t) == pytest.approx(fd, rel=1e-6)
+            assert model.evaluate_pair(t)[1] == pytest.approx(fd, rel=1e-6)
 
     def test_rejects_theta_below_one(self, model):
         with pytest.raises(ValueError):
             model.evaluate(0.5)
         with pytest.raises(ValueError):
-            model.derivative(0.9)
+            model.evaluate_pair(0.9)
+
+
+# E' as each model computed it in a call of its own, before E and E' came
+# from one call: the reference the pair's second float must keep.
+def _theta_log_theta_slope(theta):
+    return math.log2(max(theta, 1.0)) + 1.0 / math.log(2.0)
+
+
+def _power_law_slope(c, p):
+    def slope(theta):
+        return c * p * (max(theta, 1.0) - 1.0) ** (p - 1.0)
+
+    return slope
+
+
+# The clamp slack below 1, the whole working range, and the solvers' theta cap.
+THETAS = st.one_of(
+    st.floats(1.0 - 1e-13, 1.0 + 1e-6),
+    st.floats(0.0, 12.0).map(lambda x: 10.0**x),
+    st.sampled_from([1.0 - 1e-13, 1.0, 2.0, 1e12]),
+)
+FAMILIES = st.one_of(
+    st.just((theta_log_theta_model(), _theta_log_theta_slope)),
+    st.tuples(st.floats(0.05, 20.0), st.floats(1.0, 10.0)).map(
+        lambda cp: (power_law_model(*cp), _power_law_slope(*cp))
+    ),
+)
+
+
+class TestEvaluatePair:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(family=FAMILIES, theta=THETAS)
+    def test_pair_keeps_the_bits_of_the_separate_calls(self, family, theta):
+        model, slope = family
+        energy, e_prime = model.evaluate_pair(theta)
+        assert energy.hex() == model.evaluate(theta).hex()
+        assert e_prime.hex() == slope(theta).hex()
+
+    def test_checks_theta_once_per_call(self, monkeypatch):
+        from ehlink import decoder_energy
+
+        seen = []
+        check = decoder_energy._check_theta
+        monkeypatch.setattr(
+            decoder_energy, "_check_theta", lambda t: seen.append(t) or check(t)
+        )
+        for model in (theta_log_theta_model(), power_law_model(2.0, 3.0)):
+            model.evaluate_pair(1.5)
+        assert seen == [1.5, 1.5]
 
 
 class TestThetaLogTheta:
@@ -42,7 +93,7 @@ class TestThetaLogTheta:
         m = theta_log_theta_model()
         assert m.evaluate(2.0) == pytest.approx(2.0, abs=1e-15)
         assert m.evaluate(4.0) == pytest.approx(8.0, abs=1e-14)
-        assert m.derivative(2.0) == pytest.approx(1.0 + 1.0 / math.log(2.0), abs=1e-15)
+        assert m.evaluate_pair(2.0)[1] == pytest.approx(1.0 + 1.0 / math.log(2.0), abs=1e-15)
 
     def test_roundoff_slack_below_one(self):
         # Values within 1e-12 of 1 are clamped rather than rejected.
@@ -54,7 +105,7 @@ class TestPowerLaw:
     def test_closed_form_values(self):
         m = power_law_model(2.0, 3.0)
         assert m.evaluate(3.0) == pytest.approx(16.0, abs=1e-13)
-        assert m.derivative(3.0) == pytest.approx(24.0, abs=1e-13)
+        assert m.evaluate_pair(3.0)[1] == pytest.approx(24.0, abs=1e-13)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

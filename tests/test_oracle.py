@@ -77,6 +77,15 @@ class TestGridSearchP2:
         lhs = MODEL.evaluate(theta) + (p.eta * p.e_lim - p.g) / span * e_i
         assert lhs >= p.budget / span * p.e_lim - 1e-9
 
+    def test_mask_tolerance_scales_with_rhs(self):
+        # Sides of 1e9, as with e_avg a hair below e_lim: the one cell on the
+        # boundary misses it by rounding (1e-6 absolute, 1e-15 relative) and
+        # must still count.  Every other cell misses by more than 1.
+        theta_grid, e_grid, k1 = np.array([2.0, 2.5]), np.array([0.0, 1.0]), 1e9
+        rhs = (MODEL.evaluate(2.5) + k1) * (1.0 + 1e-15)
+        i, j, _ = oracle._grid_argmax(theta_grid, e_grid, 1.0, P_REF, MODEL, k1, rhs)
+        assert (i, j) == (1, 1)
+
 
 class TestGridSearchP8:
     def test_tracks_solver(self):
@@ -171,7 +180,7 @@ def _full_grid_search_p2(p, m, spec):
     for _ in range(8):
         theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
         obj, energy = _full_objective(theta_grid, e_grid, budget, p, m)
-        mask = energy[:, None] + k1 * e_grid[None, :] >= rhs - 1e-10
+        mask = energy[:, None] + k1 * e_grid[None, :] >= rhs - 1e-10 * max(1.0, rhs)
         if not mask.any():
             raise ValueError("empty feasible grid; invalid parameters")
         obj = np.where(mask, obj, -np.inf)

@@ -7,6 +7,7 @@ here; closed-form checkpoints are evaluated by hand.
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ from ehlink import (
     Case,
     SystemParams,
     capacity,
-    capacity_derivative,
     algorithm1,
     constant_power_baseline,
+    crossover,
     feasible,
     m_function,
     n_function,
@@ -107,6 +108,17 @@ class TestFeasible:
         assert not feasible(1.0, 0.5, P_REF, MODEL)
         theta = 1.5  # E(1.5) ~ 0.877 > 0.75, so any e_i in the box works
         assert feasible(theta, 0.0, P_REF, MODEL)
+
+    def test_boundary_tolerance_scales_with_the_sides(self):
+        # e_avg 1e-6 below e_lim = 1000: both sides of the coupled constraint
+        # are about 1e9, so a point on the boundary misses by rounding.
+        p = SystemParams(eta=1.0, g=0.0, e_avg=999.999999, e_lim=1000.0)
+        model = power_law_model(0.05, 1.0)
+        rhs = p.budget / (p.e_lim - p.e_avg) * p.e_lim
+        theta = 101.0  # E = 5, so e_i sits on the boundary
+        e_on = (rhs - model.evaluate(theta)) * (p.e_lim - p.e_avg) / (p.eta * p.e_lim - p.g)
+        assert feasible(theta, e_on * (1.0 - 1e-14), p, model)
+        assert not feasible(theta, e_on * (1.0 - 1e-9), p, model)
 
 
 class TestStationarityFunctions:
@@ -207,14 +219,31 @@ def link_params(draw):
 
 
 # The root finders as they were when M, N and h recomputed every term at every
-# evaluation and took C and C' from two crossovers: the new ones, which build
-# each root function once with its constants hoisted, must return their floats.
+# evaluation, took E and E' from two model calls and C and C' from two
+# crossovers: the new ones, which build each root function once with its
+# constants hoisted, must return their floats.
+def _ref_capacity_slope(e_i):
+    """C'(e_i) from a crossover of its own."""
+    if e_i <= 0:
+        raise ValueError("capacity_pair requires e_i > 0")
+    eps = crossover(e_i)
+    if eps == 0.0:
+        return 0.0
+    return (
+        (math.log2(1.0 - eps) - math.log2(eps))
+        * (1.0 / math.sqrt(4.0 * math.pi))
+        * math.exp(-e_i)
+        / math.sqrt(e_i)
+    )
+
+
 def _ref_m_function(theta, e_i, p, m):
-    return p.eta * e_i + m.evaluate(theta) - (theta - 1.0) * theta * m.derivative(theta)
+    energy, slope = m.evaluate(theta), m.evaluate_pair(theta)[1]
+    return p.eta * e_i + energy - (theta - 1.0) * theta * slope
 
 
 def _ref_n_function(e_i, theta, p, m):
-    return capacity_derivative(e_i) * (p.eta * e_i + m.evaluate(theta)) - p.eta * capacity(e_i)
+    return _ref_capacity_slope(e_i) * (p.eta * e_i + m.evaluate(theta)) - p.eta * capacity(e_i)
 
 
 def _ref_theta_star(e_i, p, m):
@@ -270,8 +299,8 @@ def _ref_solve_case_c(p, m):
         if e <= 0.0:
             return -math.inf
         c = capacity(e)
-        e_prime = -k * m.derivative(theta)
-        c_prime = capacity_derivative(e) * e_prime
+        e_prime = -k * m.evaluate_pair(theta)[1]
+        c_prime = _ref_capacity_slope(e) * e_prime
         q = theta * theta - theta
         gap = p.e_lim - e
         return gap * c + q * gap * c_prime + q * c * e_prime
@@ -353,6 +382,34 @@ class TestHoistedRootFunctions:
         assert _same(solve_case_c, _ref_solve_case_c, p, model)
 
 
+class TestOneModelCallPerTheta:
+    def test_cold_solve_asks_the_model_once_per_root_function_value(self):
+        # Each M and h value, and each other single_block step that reads
+        # the model at a theta, must make one model call there.
+        calls: dict = {}
+
+        def counted(fn):
+            def call(theta):
+                caller = sys._getframe(1)
+                if caller.f_globals is vars(single_block):
+                    calls.setdefault(caller, []).append(theta)
+                return fn(theta)
+
+            return call
+
+        curve = theta_log_theta_model()
+        model = DecoderEnergyModel(
+            curve.name, counted(curve.evaluate), counted(curve.evaluate_pair)
+        )
+        p = SystemParams(eta=0.5, g=0.1, e_avg=1.0, e_lim=3.0)
+        _case_ab_pairs.cache_clear()
+        case_ab_pairs(p, model)
+        assert solve_case_c(p, model) is not None
+        names = {frame.f_code.co_name for frame in calls}
+        assert {"m_of", "h"} <= names
+        assert max(len(thetas) for thetas in calls.values()) == 1
+
+
 class TestRankedCandidates:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(p=link_params(), model=st.sampled_from(MODELS))
@@ -391,7 +448,7 @@ class TestCaseAbMemo:
     def test_distinct_models_with_one_name_do_not_share(self):
         twin = theta_log_theta_model()
         curve = power_law_model(1.0, 2.0)
-        impostor = DecoderEnergyModel(MODEL.name, curve.evaluate, curve.derivative)
+        impostor = DecoderEnergyModel(MODEL.name, curve.evaluate, curve.evaluate_pair)
         _case_ab_pairs.cache_clear()
         case_ab_pairs(P_REF, MODEL)
         case_ab_pairs(P_REF, twin)
