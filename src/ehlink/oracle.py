@@ -5,9 +5,11 @@ problem, plus exhaustive vertex enumeration for the transfer LP.  These are
 deliberately simple; they exist to certify the fast solvers, so they state
 the objective, the BSC capacity over a grid and the transfer polytope
 themselves and call no solver code (only its data classes are imported).
-The grid searches still evaluate every cell, a block of theta rows at a
-time, and the vertex enumeration still solves every choice of rows, in one
-stacked call.  numpy and scipy are imported on first use.
+The grid searches return the first maximum over every cell, but evaluate
+only the blocks of theta rows that an exact float bound (the box bound of
+monotonic optimization, taken on the grid's own floats) cannot rule out.
+The vertex enumeration solves every choice of rows, in one stacked call.
+numpy and scipy are imported on first use.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ __all__ = [
 ]
 
 # Theta rows per block of a grid search.  At 1000 e points a block array is
-# 256 KB, and the five a masked search holds (three repeated e rows, the
-# objective and its denominator) fit in one core's 2 MB L2.  On a 2-vCPU
-# Xeon VM, 32 and 48 rows were fastest of 16 to 128, and 64 was 30% slower.
+# 256 KB, and the objective, its denominator and the mask fit in one core's
+# 2 MB L2.  On a 2-vCPU Xeon VM, with every block evaluated and three
+# repeated e rows held besides, 32 and 48 rows were fastest of 16 to 128.
 _BLOCK_ROWS = 32
 
 
@@ -54,21 +56,19 @@ def _capacity(e):
     return np.clip(c, 0.0, 1.0)
 
 
-def _objective_rows(theta, energy, cap, eta_e, budget, out, work):
-    """Fill ``out`` with ((theta-1)/theta * budget) * C(e) / (eta*e + E(theta)).
+def _objective_rows(factor, energy, cap, eta_e, out, work):
+    """Fill ``out`` with factor * C(e) / (eta*e + E(theta)).
 
-    Rows take theta and ``energy`` = E(theta).  Columns take ``cap`` = C(e)
-    and ``eta_e`` = eta*e, each one row for all, or one row per theta.  A
-    cell with no finite value (0/0 where E = e = 0) reads 0; when every E is
-    positive, every denominator is, and no cell needs the repair.  ``work``
-    receives the denominator.
+    Rows take ``factor`` = (theta-1)/theta * budget and ``energy`` = E(theta);
+    columns take ``cap`` = C(e) and ``eta_e`` = eta*e.  A cell with no finite
+    value (0/0 where E = e = 0) reads 0; when every E is positive, every
+    denominator is, and no cell needs the repair.  ``work`` receives the
+    denominator.
     """
     import numpy as np
 
-    np.copyto(out, ((theta - 1.0) / theta * budget)[:, None])
-    out *= cap
-    np.copyto(work, energy[:, None])
-    work += eta_e
+    np.multiply(factor[:, None], cap, out=out)
+    np.add(energy[:, None], eta_e, out=work)
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= work
     if not np.all(energy > 0.0):
@@ -80,59 +80,86 @@ def _grid_argmax(theta_grid, e_grid, budget, p, m, k1=None, rhs=None):
     """First maximum, in row-major order, of the objective over the grid.
 
     With ``k1`` and ``rhs``, only cells with E(theta) + k1*e >= rhs, within
-    1e-10 * max(1, rhs), count, and a grid with none raises.  Every cell is
-    evaluated, but _BLOCK_ROWS theta rows at a time in arrays allocated once
-    per call, so no array outgrows the cache.  A later block takes over only on a
-    strictly larger value, as one argmax over the whole grid would.
-    Returns (i, j, value).
+    1e-10 * max(1, rhs), count, and a grid with none raises.  The grid is
+    cut into blocks of _BLOCK_ROWS theta rows, and a block is evaluated only
+    if its bound says it could hold that first maximum.  The bound is exact
+    in floats: a cell is fl(fl(t*C) / fl(E + eta*e)) with t = (theta-1)/theta
+    * budget, and rounding is monotone, so with C >= 0 and E > 0 no cell of a
+    block exceeds fl(fl(t_max*C) / fl(E_min + eta*e)) in its column, where
+    t_max and E_min are the block's largest t and smallest E (read from the
+    arrays, not from the model's shape).  A column whose E_max + k1*e fails
+    the mask fails on every row of the block, and bounds at -inf.  Blocks
+    are visited in descending bound order; one is skipped when its bound is
+    below the best value, or equal to it and the block starts after the best
+    row.  A block takes over on a larger value, or an equal one at an earlier
+    row, so the result is the first maximum, as one argmax over the whole
+    grid gives.  With budget <= 0, or an E that is not finite and positive,
+    every block is evaluated in row order.  Returns (i, j, value).
     """
     import numpy as np
 
-    n = len(theta_grid)
+    n, n_e = len(theta_grid), len(e_grid)
     energy = np.fromiter(map(m.evaluate, theta_grid), float, n)
-    shape = (min(_BLOCK_ROWS, n), len(e_grid))
-
-    def repeated(row):
-        # One copy of an e row per theta row of a block, so that every step
-        # below is an elementwise operation on contiguous arrays.
-        return np.broadcast_to(row, shape).copy()
-
-    cap, eta_e = repeated(_capacity(e_grid)), repeated(p.eta * e_grid)
+    factor = (theta_grid - 1.0) / theta_grid * budget
+    cap, eta_e = _capacity(e_grid), p.eta * e_grid
     if k1 is not None:
-        threshold, k1_e = rhs - 1e-10 * max(1.0, rhs), repeated(k1 * e_grid)
-        passes = np.empty(shape, dtype=bool)
+        threshold, k1_e = rhs - 1e-10 * max(1.0, rhs), k1 * e_grid
+    starts = np.arange(0, n, _BLOCK_ROWS)
+    if budget > 0.0 and np.all(np.isfinite(energy) & (energy > 0.0)):
+        bound = np.multiply(np.maximum.reduceat(factor, starts)[:, None], cap)
+        bound /= np.add(np.minimum.reduceat(energy, starts)[:, None], eta_e)
+        if k1 is not None:
+            e_max = np.maximum.reduceat(energy, starts)
+            bound[np.add(e_max[:, None], k1_e) < threshold] = -np.inf
+        block_bound = bound.max(axis=1)
+    else:
+        block_bound = np.full(len(starts), np.inf)
+    shape = (min(_BLOCK_ROWS, n), n_e)
     out, work = np.empty(shape), np.empty(shape)
+    if k1 is not None:
+        passes = np.empty(shape, dtype=bool)
     best = (-1, -1, -np.inf)
-    for start in range(0, n, _BLOCK_ROWS):
+    for b in np.argsort(-block_bound, kind="stable"):
+        start = int(starts[b])
+        if block_bound[b] < best[2] or (block_bound[b] == best[2] and start > best[0]):
+            continue
         rows = slice(start, min(start + _BLOCK_ROWS, n))
         size = rows.stop - start
-        obj = _objective_rows(
-            theta_grid[rows], energy[rows], cap[:size], eta_e[:size], budget, out[:size], work[:size]
-        )
+        obj = _objective_rows(factor[rows], energy[rows], cap, eta_e, out[:size], work[:size])
         # k1 >= 0 makes E + k1*e non-decreasing along a row, so a block
         # whose rows all pass at e = 0 passes everywhere.
         if k1 is not None and not (k1 >= 0.0 and np.all(energy[rows] >= threshold)):
             lhs = work[:size]  # the denominator is spent
-            np.copyto(lhs, energy[rows, None])
-            lhs += k1_e[:size]
+            np.add(energy[rows, None], k1_e, out=lhs)
             np.greater_equal(lhs, threshold, out=passes[:size])
             np.copyto(obj, -np.inf, where=~passes[:size])
         k = int(np.argmax(obj))
-        if obj.flat[k] > best[2]:
-            i, j = divmod(k, len(e_grid))
-            best = (start + i, j, float(obj.flat[k]))
+        i, j = divmod(k, n_e)
+        value = obj.flat[k]
+        if value > best[2] or (value == best[2] and start + i < best[0]):
+            best = (start + i, j, float(value))
     if best[0] < 0:
         raise ValueError("empty feasible grid; invalid parameters")
     return best
 
 
+def _upper_edge_error(theta_grid, ranges):
+    """The argmax sat on the upper edge of every theta range: no maximum found."""
+    return ValueError(
+        f"grid argmax on the upper edge of all {ranges} theta ranges; the last was "
+        f"[{float(theta_grid[0])!r}, {float(theta_grid[-1])!r}]"
+    )
+
+
 def grid_search_p2(
     p: SystemParams, m: DecoderEnergyModel, spec: GridSpec = GridSpec()
 ) -> tuple[float, float, float]:
-    """Exhaustive feasible-grid maximization of the single-block objective.
+    """Feasible-grid maximization of the single-block objective.
 
     Theta is log-spaced up to the boundary level theta' plus margin (doubled
-    if the argmax lands on the upper edge); e_i is linear on [0, e_lim].
+    if the argmax lands on the upper edge, at most 8 ranges in all, and a
+    ValueError past the last); e_i is linear on [0, e_lim].  At zero budget
+    every cell is 0, and the first one is returned on the first range.
     """
     import numpy as np
 
@@ -147,19 +174,20 @@ def grid_search_p2(
         theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
         i, j, value = _grid_argmax(theta_grid, e_grid, budget, p, m, k1, rhs)
         if i < spec.theta_points - 1 or budget == 0.0:
-            break
+            return float(theta_grid[i]), float(e_grid[j]), value
         theta_max *= 2.0
-    return float(theta_grid[i]), float(e_grid[j]), value
+    raise _upper_edge_error(theta_grid, 8)
 
 
 def grid_search_p8(
     p: SystemParams, m: DecoderEnergyModel, spec: GridSpec = GridSpec()
 ) -> tuple[float, float, float]:
-    """Exhaustive box maximization of the objective at unit budget.
+    """Grid maximization of the objective at unit budget over the box.
 
     Uses only the box constraints (no boundary coupling), so the result does
     not depend on e_avg or g.  The theta range starts at 8 and doubles while
-    the argmax sits on the upper edge.
+    the argmax sits on the upper edge, at most 16 ranges in all, and a
+    ValueError past the last.
     """
     import numpy as np
 
@@ -169,9 +197,9 @@ def grid_search_p8(
         theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
         i, j, value = _grid_argmax(theta_grid, e_grid, 1.0, p, m)
         if i < spec.theta_points - 1:
-            break
+            return float(theta_grid[i]), float(e_grid[j]), value
         theta_max *= 2.0
-    return float(theta_grid[i]), float(e_grid[j]), value
+    raise _upper_edge_error(theta_grid, 16)
 
 
 def _transfer_polytope(prob: MultiBlockProblem, thetas, e_is):
@@ -232,7 +260,7 @@ def enumerate_lp_vertices(
     theta, e = np.asarray(thetas, dtype=float), np.asarray(e_is, dtype=float)
     energy = np.fromiter(map(m.evaluate, theta), float, n)
     cost = _objective_rows(
-        theta, energy, _capacity(e), p.eta * e, 1.0, np.empty((n, n)), np.empty((n, n))
+        (theta - 1.0) / theta, energy, _capacity(e), p.eta * e, np.empty((n, n)), np.empty((n, n))
     ).diagonal()
     a_ub, b_ub = _transfer_polytope(prob, thetas, e_is)
     # Every choice of n rows at once: drop the singular ones (a NaN

@@ -401,11 +401,17 @@ def recover_full(
         raise InfeasibleRecoveryError(
             "eta*e_i + E(theta) must exceed the budget (alpha would leave [0, 1])"
         )
+    e_e = (energy * p.e_avg + p.g * e_i) / denom
+    return _full_solution(theta, e_i, e_e, energy, p)
+
+
+def _full_solution(
+    theta: float, e_i: float, e_e: float, energy: float, p: SystemParams
+) -> FullSolution:
+    """Time split, rate and bits of a pair whose e_e is known; energy = E(theta)."""
     alpha = 1.0 - p.budget / (p.eta * e_i + energy)
     rate = (theta - 1.0) / theta * capacity(e_i)
-    e_e = (energy * p.e_avg + p.g * e_i) / denom
-    bits = (1.0 - alpha) * rate
-    return FullSolution(alpha, rate, e_e, e_i, theta, bits)
+    return FullSolution(alpha, rate, e_e, e_i, theta, (1.0 - alpha) * rate)
 
 
 def _zero_solution(p: SystemParams) -> tuple[CandidateSolution, FullSolution]:
@@ -451,8 +457,13 @@ def algorithm1(
 def constant_power_baseline(
     p: SystemParams, m: DecoderEnergyModel
 ) -> FullSolution:
-    """No-power-optimization comparator: e_e = e_i = e_avg, theta optimized."""
+    """No-power-optimization comparator: e_e = e_i = e_avg, theta optimized.
+
+    With e_e = e_i = e_avg, alpha = 1 - budget/(eta*e_avg + E(theta)) lies in
+    [0, 1] for any theta, so no recovery check applies; `recover_full`'s
+    check would refuse a valid tiny e_avg, where E(theta) + g is near 0.
+    """
     if p.budget <= 0.0 or p.e_avg == 0.0:
         return _zero_solution(p)[1]
     theta = solve_lemma3(p.e_avg, p, m)
-    return recover_full(theta, p.e_avg, p, m)
+    return _full_solution(theta, p.e_avg, p.e_avg, m.evaluate(theta), p)

@@ -319,6 +319,24 @@ class TestSweeps:
             _, fields = single_row(out)
             assert (fields["case"], fields["bits_per_use"]) == ("a", "0")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--eta", "1", "--g", "0", "--e-lim", "0.5305339969787326",
+             "--ed-model", "power-law:c=1,p=2", "--sweep", "e_avg:1e-300:1e-300:1"],
+            ["--eta", "0.0008316367818461896", "--g", "3.600599769057509e-177", "--e-lim", "1.0",
+             "--sweep", "e_avg:4.32954791006401e-174:4.32954791006401e-174:1"],
+        ],
+        ids=["e_avg-1e-300", "e_avg-4e-174"],
+    )
+    def test_tiny_e_avg_has_a_baseline(self, capsys, argv):
+        # E(theta) + g is near 0: the baseline's e_e = e_avg needs no recovery check.
+        code, out, err = run_cli(capsys, "sweep-single", *argv)
+        assert (code, err) == (0, "")
+        row = [ln for ln in out.strip().splitlines() if not ln.startswith("#")][1]
+        _, opt, base, _ = row.split(",")
+        assert float(opt) >= float(base) >= 0.0
+
     def test_bad_sweep_spec_is_an_error(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep-single", "--sweep", "e_avg:0:1"

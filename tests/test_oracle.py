@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehlink import (
     MultiBlockProblem,
@@ -21,6 +23,7 @@ from ehlink import (
 from ehlink.decoder_energy import DecoderEnergyModel
 from ehlink.multi_block import _lp_constraints
 from ehlink.oracle import GridSpec, enumerate_lp_vertices, grid_search_p2, grid_search_p8
+from test_single_block import FAMILIES, edge_params
 
 MODEL = theta_log_theta_model()
 P_REF = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
@@ -281,6 +284,21 @@ class TestBlockedGridMatchesFullMatrix:
         result = _assert_same_search("p8", P_REF, m, GridSpec(200, 50))
         assert result == (float(theta_grid[oracle._BLOCK_ROWS - 1]), 0.0, 1.0)
 
+    def test_theta_ranges_run_out(self):
+        # E grows so slowly that the argmax stays on the upper edge of every
+        # range: the search names the last one rather than return its edge.
+        slow = power_law_model(1e-13, 1.0)
+        last = r"the last was \[1.000001, {}\]"
+        with pytest.raises(ValueError, match="all 16 theta ranges; " + last.format("262144.0")):
+            grid_search_p8(P_REF, slow, GridSpec(200, 100))
+        # p2 starts at 2 * max(theta', 2) = 4 when a budget of 1e-9 puts theta'
+        # near 1, and the objective still rises at the last range's end, 512.
+        p = SystemParams(eta=0.5, g=0.5 - 1e-9, e_avg=1.0, e_lim=3.0)
+        with pytest.raises(ValueError, match="all 8 theta ranges; " + last.format("512.0")):
+            grid_search_p2(p, power_law_model(1e-8, 1.0), GridSpec(200, 100))
+        # The full-matrix references return the edge point of the last range.
+        assert _full_grid_search_p8(P_REF, slow, GridSpec(200, 100))[0] == 262144.0
+
     def test_empty_feasible_grid_raises(self):
         # At zero budget no root find runs; an energy of -inf fails every cell.
         m = DecoderEnergyModel("never-feasible", lambda t: -np.inf, lambda t: 0.0)
@@ -340,3 +358,74 @@ class TestStackedVerticesMatchLoop:
     def test_lexicographic_tie(self):
         p = SystemParams(eta=1.0, g=0.0, e_avg=1.0, e_lim=4.0)
         self._assert_same(MultiBlockProblem(p, (0.2, 0.2), MODEL), [2.0, 2.0], [1.0, 1.0])
+
+
+def _outcome(search, p, m, spec):
+    try:
+        return search(p, m, spec)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _evaluated_blocks(monkeypatch):
+    """The first factor (theta-1)/theta * budget of each block _grid_argmax evaluates."""
+    firsts = []
+    evaluate = oracle._objective_rows
+
+    def counting(factor, *args):
+        firsts.append(float(factor[0]))
+        return evaluate(factor, *args)
+
+    monkeypatch.setattr(oracle, "_objective_rows", counting)
+    return firsts
+
+
+class TestPrunedGridMatchesFullMatrix:
+    """_grid_argmax evaluates only the blocks its float bound cannot rule out."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["p2", "p8"]),
+        p=edge_params(),
+        model=st.one_of(FAMILIES, st.builds(power_law_model, st.floats(1e-4, 1e-2), st.just(1.0))),
+        theta_points=st.integers(33, 160).filter(lambda n: n % oracle._BLOCK_ROWS),
+        e_points=st.integers(2, 80),
+    )
+    def test_matches_full_matrix(self, kind, p, model, theta_points, e_points):
+        fast, full = SEARCHES[kind]
+        spec = GridSpec(theta_points, e_points)
+        expected, result = _outcome(full, p, model, spec), _outcome(fast, p, model, spec)
+        if result[0] is ValueError and "upper edge" in result[1]:
+            # Out of theta ranges: the reference returns the last range's edge.
+            assert result[1].endswith(f", {expected[0]!r}]")
+        else:
+            assert result == expected
+
+    @pytest.mark.parametrize("kind", ["p2", "p8"])
+    @pytest.mark.parametrize(
+        "m", [MODEL, power_law_model(1.0, 2.0)], ids=["theta-log-theta", "power-law"]
+    )
+    def test_evaluates_few_blocks(self, monkeypatch, kind, m):
+        firsts = _evaluated_blocks(monkeypatch)
+        _assert_same_search(kind, P_REF, m, GridSpec())
+        assert len(firsts) <= 12  # of 32
+
+    def test_exact_tie_in_an_earlier_block_with_a_smaller_bound(self, monkeypatch):
+        # C = 1.  Rows 31 and 32 have E = t = (theta-1)/theta and read exactly
+        # 1 at e = 0; every other row has E = 2 and reads below 0.5.  Block 0
+        # bounds at t(31)/E_min = 1, block 1 at t(63)/t(32) > 1, so block 1 is
+        # visited first and finds the tie; the earlier row must still win.
+        monkeypatch.setattr(oracle, "_capacity", np.ones_like)
+        theta_grid = np.geomspace(1.0 + 1e-6, 8.0, 200)
+        rows = oracle._BLOCK_ROWS
+        tied = {float(theta_grid[rows - 1]), float(theta_grid[rows])}
+
+        def evaluate(theta):
+            return (theta - 1.0) / theta if theta in tied else 2.0
+
+        m = DecoderEnergyModel("tie", evaluate, evaluate)
+        firsts = _evaluated_blocks(monkeypatch)
+        result = _assert_same_search("p8", P_REF, m, GridSpec(200, 50))
+        assert result == (float(theta_grid[rows - 1]), 0.0, 1.0)
+        factor = (theta_grid - 1.0) / theta_grid
+        assert firsts == [factor[rows], factor[0]]

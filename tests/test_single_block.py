@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 from ehlink import (
     CandidateSolution,
     Case,
+    MultiBlockProblem,
     SystemParams,
     capacity,
     algorithm1,
     constant_power_baseline,
     crossover,
     feasible,
+    iterative_solver,
     m_function,
     n_function,
     objective,
@@ -608,3 +610,39 @@ class TestConstantPowerBaseline:
     def test_zero_e_avg(self):
         p = SystemParams(eta=0.5, g=0.0, e_avg=0.0, e_lim=3.0)
         assert constant_power_baseline(p, MODEL).bits_per_use == 0.0
+
+    def test_tiny_e_avg_needs_no_recovery_check(self):
+        # E(theta) + g is about 1e-300 here, below recover_full's 1e-14 guard,
+        # yet alpha = 1 - budget/(eta*e_avg + E) is a valid split.
+        p = SystemParams(eta=1.0, g=0.0, e_avg=1e-300, e_lim=0.5305339969787326)
+        base = constant_power_baseline(p, power_law_model(1.0, 2.0))
+        assert base.e_e == base.e_i == p.e_avg
+        assert 0.0 <= base.alpha <= 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=FAMILIES)
+    def test_keeps_recover_full_bits_and_never_raises(self, p, model):
+        base = constant_power_baseline(p, model)
+        if p.budget <= 0.0 or p.e_avg == 0.0:
+            return
+        try:
+            full = recover_full(base.theta, p.e_avg, p, model)
+        except InfeasibleRecoveryError:
+            return
+        assert (base.alpha, base.rate) == (full.alpha, full.rate)
+        assert base.bits_per_use == full.bits_per_use
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=FAMILIES)
+    def test_solver_is_not_below_the_baseline(self, p, model):
+        base = constant_power_baseline(p, model).bits_per_use
+        _, full = algorithm1(p, model)
+        assert full.bits_per_use >= base - 1e-12 * max(1.0, base)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=FAMILIES)
+    def test_one_block_plan_is_the_single_block_solve(self, p, model):
+        sol = iterative_solver(MultiBlockProblem(p, (p.g,), model))
+        cand, _ = algorithm1(p, model)
+        assert sol.total_bits_per_use.hex() == cand.objective.hex()
+        assert sol.total_bits_per_use <= sol.bound + 1e-8
