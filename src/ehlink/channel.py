@@ -36,29 +36,23 @@ def crossover(e_i):
     return q_function(math.sqrt(2.0 * e_i))
 
 
-def _capacity_terms(e_i):
-    """C(e_i) and the log ratio log2(1-eps) - log2(eps), from one crossover eps.
-
-    The 0*log(0) convention is applied so the limit eps -> 0 is exact: C is
-    then 1, and the ratio is None, since no log of eps exists.  At eps = 1/2
-    both are exactly 0.
-    """
-    eps = crossover(e_i)
-    if eps <= 0.0:
-        return 1.0, None
-    if eps >= 0.5:
-        return 0.0, 0.0
-    log_eps, log_rest = math.log2(eps), math.log2(1.0 - eps)
-    c = 1.0 + (eps * log_eps + (1.0 - eps) * log_rest)
-    return min(max(c, 0.0), 1.0), log_rest - log_eps
-
-
 def capacity(e_i):
     """BSC capacity 1 - H2(crossover(e_i)) in bits per channel use.
 
-    Returns 0 at e_i = 0 (crossover 1/2) and tends to 1 as e_i grows.
+    Returns 0 at e_i = 0 (crossover 1/2) and tends to 1 as e_i grows.  The
+    0*log(0) convention is applied, so the limit crossover -> 0 is exact.
+    The crossover is computed here, with the floats `crossover` gives; an
+    input outside [0, inf) goes through `crossover` for its error.
     """
-    return _capacity_terms(e_i)[0]
+    if not 0.0 <= e_i < math.inf:
+        crossover(e_i)  # raises for e_i < 0, inf and NaN
+    eps = 0.5 * math.erfc(math.sqrt(2.0 * e_i) / _SQRT2)
+    if eps <= 0.0:
+        return 1.0
+    if eps >= 0.5:
+        return 0.0
+    c = 1.0 + (eps * math.log2(eps) + (1.0 - eps) * math.log2(1.0 - eps))
+    return 0.0 if c < 0.0 else (1.0 if c > 1.0 else c)  # c clipped to [0, 1]
 
 
 def capacity_pair(e_i):
@@ -67,11 +61,19 @@ def capacity_pair(e_i):
     C' = [log2(1-eps) - log2(eps)] * exp(-e_i) / (sqrt(4*pi) * sqrt(e_i)).
     That formula is singular at e_i = 0, which is rejected; the solvers never
     need the derivative there.  Once eps underflows to 0 (e_i above about
-    745) the true C' is below 1e-300, and 0.0 is returned.
+    745) the true C' is below 1e-300, and 0.0 is returned.  Both floats are
+    the ones `capacity` and that formula give, and an input outside (0, inf)
+    raises what they raise.
     """
-    c, log_ratio = _capacity_terms(e_i)
-    if e_i <= 0:
+    if not 0.0 < e_i < math.inf:
+        crossover(e_i)  # raises for e_i < 0, inf and NaN
         raise ValueError("capacity_pair requires e_i > 0")
-    if log_ratio is None:
-        return c, 0.0
-    return c, log_ratio * _INV_SQRT_4PI * math.exp(-e_i) / math.sqrt(e_i)
+    eps = 0.5 * math.erfc(math.sqrt(2.0 * e_i) / _SQRT2)
+    if eps <= 0.0:
+        return 1.0, 0.0
+    if eps >= 0.5:
+        return 0.0, 0.0
+    log_eps, log_rest = math.log2(eps), math.log2(1.0 - eps)
+    c = 1.0 + (eps * log_eps + (1.0 - eps) * log_rest)
+    c_prime = (log_rest - log_eps) * _INV_SQRT_4PI * math.exp(-e_i) / math.sqrt(e_i)
+    return 0.0 if c < 0.0 else (1.0 if c > 1.0 else c), c_prime

@@ -47,7 +47,8 @@ class DecoderEnergyModel:
 def _check_theta(theta):
     if theta < 1.0 - _THETA_SLACK:
         raise ValueError("theta must be >= 1")
-    return max(float(theta), 1.0)
+    t = float(theta)
+    return 1.0 if t < 1.0 else t  # max(t, 1.0), without the builtin call
 
 
 def theta_log_theta_model() -> DecoderEnergyModel:

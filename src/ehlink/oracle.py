@@ -6,8 +6,9 @@ deliberately simple; they exist to certify the fast solvers, so they state
 the objective, the BSC capacity over a grid and the transfer polytope
 themselves and call no solver code (only its data classes are imported).
 The grid searches return the first maximum over every cell, but evaluate
-only the blocks of theta rows that an exact float bound (the box bound of
-monotonic optimization, taken on the grid's own floats) cannot rule out.
+only the cells that an exact float bound (the box bound of monotonic
+optimization, taken on the grid's own floats per block of theta rows and
+per e column) cannot rule out.
 The vertex enumeration solves every choice of rows, in one stacked call.
 numpy and scipy are imported on first use.
 """
@@ -81,25 +82,30 @@ def _grid_argmax(theta_grid, e_grid, budget, p, m, k1=None, rhs=None):
 
     With ``k1`` and ``rhs``, only cells with E(theta) + k1*e >= rhs, within
     1e-10 * max(1, rhs), count, and a grid with none raises.  The grid is
-    cut into blocks of _BLOCK_ROWS theta rows, and a block is evaluated only
-    if its bound says it could hold that first maximum.  The bound is exact
-    in floats: a cell is fl(fl(t*C) / fl(E + eta*e)) with t = (theta-1)/theta
-    * budget, and rounding is monotone, so with C >= 0 and E > 0 no cell of a
-    block exceeds fl(fl(t_max*C) / fl(E_min + eta*e)) in its column, where
-    t_max and E_min are the block's largest t and smallest E (read from the
-    arrays, not from the model's shape).  A column whose E_max + k1*e fails
-    the mask fails on every row of the block, and bounds at -inf.  Blocks
-    are visited in descending bound order; one is skipped when its bound is
-    below the best value, or equal to it and the block starts after the best
-    row.  A block takes over on a larger value, or an equal one at an earlier
-    row, so the result is the first maximum, as one argmax over the whole
-    grid gives.  With budget <= 0, or an E that is not finite and positive,
-    every block is evaluated in row order.  Returns (i, j, value).
+    cut into blocks of _BLOCK_ROWS theta rows, and only the cells that a
+    float bound says could hold that first maximum are evaluated.  The bound
+    is exact in floats: a cell is fl(fl(t*C) / fl(E + eta*e)) with t =
+    (theta-1)/theta * budget, and rounding is monotone, so with C >= 0 and
+    E > 0 no cell of a block exceeds bound[b, j] = fl(fl(t_max*C) / fl(E_min
+    + eta*e)) in its column j, where t_max and E_min are the block's largest
+    t and smallest E (read from the arrays, not from the model's shape).  A
+    column whose E_max + k1*e fails the mask fails on every row of the block,
+    and bounds at -inf.  Blocks are visited in descending bound order; one is
+    skipped when its bound is below the best value, or equal to it and the
+    block starts after the best row.  In a block that is evaluated, only the
+    columns with bound[b, j] >= the best value are, in row-major order; the
+    others cannot reach it.  A block takes over on a larger value, or an
+    equal one at an earlier row, so the result is the first maximum, as one
+    argmax over the whole grid gives.  With budget <= 0, or an E that is
+    not finite and positive, there is no bound, and every cell is evaluated
+    in row order.
+    Returns (i, j, value).
     """
     import numpy as np
 
     n, n_e = len(theta_grid), len(e_grid)
-    energy = np.fromiter(map(m.evaluate, theta_grid), float, n)
+    # float(np.float64) is exact, and a Python float is the model's fast path.
+    energy = np.fromiter(map(m.evaluate, theta_grid.tolist()), float, n)
     factor = (theta_grid - 1.0) / theta_grid * budget
     cap, eta_e = _capacity(e_grid), p.eta * e_grid
     if k1 is not None:
@@ -111,13 +117,14 @@ def _grid_argmax(theta_grid, e_grid, budget, p, m, k1=None, rhs=None):
         if k1 is not None:
             e_max = np.maximum.reduceat(energy, starts)
             bound[np.add(e_max[:, None], k1_e) < threshold] = -np.inf
-        block_bound = bound.max(axis=1)
     else:
-        block_bound = np.full(len(starts), np.inf)
-    shape = (min(_BLOCK_ROWS, n), n_e)
-    out, work = np.empty(shape), np.empty(shape)
+        # No bound: every cell is evaluated, the blocks in row order.
+        bound = np.full((len(starts), n_e), np.inf)
+    block_bound = bound.max(axis=1)
+    # Flat buffers, viewed as (rows, kept columns) per block.
+    out, work = np.empty(_BLOCK_ROWS * n_e), np.empty(_BLOCK_ROWS * n_e)
     if k1 is not None:
-        passes = np.empty(shape, dtype=bool)
+        passes = np.empty(_BLOCK_ROWS * n_e, dtype=bool)
     best = (-1, -1, -np.inf)
     for b in np.argsort(-block_bound, kind="stable"):
         start = int(starts[b])
@@ -125,19 +132,27 @@ def _grid_argmax(theta_grid, e_grid, budget, p, m, k1=None, rhs=None):
             continue
         rows = slice(start, min(start + _BLOCK_ROWS, n))
         size = rows.stop - start
-        obj = _objective_rows(factor[rows], energy[rows], cap, eta_e, out[:size], work[:size])
+        # The first block visited keeps every column, as best is then -inf.
+        cols = np.flatnonzero(bound[b] >= best[2])
+        shape = (size, len(cols))
+        cells = size * len(cols)
+        obj = _objective_rows(
+            factor[rows], energy[rows], cap[cols], eta_e[cols],
+            out[:cells].reshape(shape), work[:cells].reshape(shape),
+        )
         # k1 >= 0 makes E + k1*e non-decreasing along a row, so a block
         # whose rows all pass at e = 0 passes everywhere.
         if k1 is not None and not (k1 >= 0.0 and np.all(energy[rows] >= threshold)):
-            lhs = work[:size]  # the denominator is spent
-            np.add(energy[rows, None], k1_e, out=lhs)
-            np.greater_equal(lhs, threshold, out=passes[:size])
-            np.copyto(obj, -np.inf, where=~passes[:size])
+            lhs = work[:cells].reshape(shape)  # the denominator is spent
+            np.add(energy[rows, None], k1_e[cols], out=lhs)
+            ok = passes[:cells].reshape(shape)
+            np.greater_equal(lhs, threshold, out=ok)
+            np.copyto(obj, -np.inf, where=~ok)
         k = int(np.argmax(obj))
-        i, j = divmod(k, n_e)
+        i, jj = divmod(k, shape[1])
         value = obj.flat[k]
         if value > best[2] or (value == best[2] and start + i < best[0]):
-            best = (start + i, j, float(value))
+            best = (start + i, int(cols[jj]), float(value))
     if best[0] < 0:
         raise ValueError("empty feasible grid; invalid parameters")
     return best

@@ -1,10 +1,11 @@
 """Brent's method for one bracketed scalar root.
 
-`brentq` is a line-for-line port of scipy's ``brentq.c`` (the solver behind
-``scipy.optimize.brentq``), so it returns the same float for the same
-function, bracket and tolerances.  It differs in one way: the caller passes
-f(a) and f(b), which every bracket search here has already computed, so the
-two endpoint values are not evaluated again.
+`brentq` is a port of scipy's ``brentq.c`` (the solver behind
+``scipy.optimize.brentq``) with its control flow and every float operation,
+so it returns the same float for the same function, bracket and tolerances.
+It differs in one way: the caller passes f(a) and f(b), which every bracket
+search here has already computed, so the two endpoint values are not
+evaluated again.
 """
 
 from __future__ import annotations
@@ -56,21 +57,34 @@ def brentq(
     # Both values are non-zero and not NaN here, so x < 0 is C's signbit(x).
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
+    # C's loop, with each magnitude taken once per iteration.  A zero f
+    # value returns at the top of the next iteration, as C's return test
+    # does there (nothing before it moves a zero fcur), so below that every
+    # f value is non-zero and not NaN, and C's "fpre != 0 && fcur != 0 &&
+    # signbit(fpre) != signbit(fcur)" is the plain sign test.
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+        if fcur == 0:
+            return xcur
+        if (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        abs_pre = fpre if fpre > 0 else -fpre
+        abs_cur = fcur if fcur > 0 else -fcur
+        abs_blk = fblk if fblk > 0 else -fblk
+        if abs_blk < abs_cur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            abs_pre, abs_cur = abs_cur, abs_blk
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + rtol * (xcur if xcur > 0 else -xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        abs_sbis = sbis if sbis > 0 else -sbis
+        if abs_sbis < delta:
             return xcur
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        abs_spre = spre if spre > 0 else -spre
+        if abs_spre > delta and abs_cur < abs_pre:
             try:
                 if xpre == xblk:
                     # interpolate
@@ -83,7 +97,10 @@ def brentq(
             except ZeroDivisionError:
                 # C gets inf or NaN here, and the test below then bisects.
                 stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            limit = 3 * abs_sbis - delta
+            if abs_spre < limit:
+                limit = abs_spre
+            if 2 * (stry if stry > 0 else -stry) < limit:
                 # good short step
                 spre, scur = scur, stry
             else:
@@ -94,7 +111,7 @@ def brentq(
             spre = scur = sbis
 
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
+        if (scur if scur > 0 else -scur) > delta:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta

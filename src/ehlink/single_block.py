@@ -248,18 +248,6 @@ def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
 
 
-def _e0_of_energy(p: SystemParams):
-    """E(theta) -> e_i = top - k*E(theta) on the e_e = e_lim boundary (floored at 0), and k."""
-    denom = p.eta * p.e_lim - p.g
-    top = p.budget / denom * p.e_lim
-    k = (p.e_lim - p.e_avg) / denom
-
-    def e0(energy: float) -> float:
-        return max(0.0, top - k * energy)
-
-    return e0, k
-
-
 def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, float, Case]]:
     """All case (a) stationary pairs plus the case (b) pair.
 
@@ -344,13 +332,16 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
     """
     if p.budget <= 0.0:
         return None
-    e0, k = _e0_of_energy(p)
+    # On the boundary e_i = top - k*E(theta), floored at 0.
+    denom = p.eta * p.e_lim - p.g
+    top = p.budget / denom * p.e_lim
+    k = (p.e_lim - p.e_avg) / denom
     e_lim, evaluate_pair = p.e_lim, m.evaluate_pair
 
     def h(theta: float) -> float:
         energy, slope = evaluate_pair(theta)
-        e = e0(energy)
-        if e <= 0.0:
+        e = top - k * energy
+        if not e > 0.0:
             return -math.inf
         c, c_rate = capacity_pair(e)
         e_prime = -k * slope
@@ -381,7 +372,7 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
         # can need more than scipy's 100 iterations (125 at most in a
         # 4000-draw probe); bisection from [1, float max] needs about 1065.
         theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16, maxiter=2000)
-    e_i = e0(m.evaluate(theta))
+    e_i = max(0.0, top - k * m.evaluate(theta))
     return CandidateSolution(
         theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)
     )
@@ -408,10 +399,14 @@ def recover_full(
 def _full_solution(
     theta: float, e_i: float, e_e: float, energy: float, p: SystemParams
 ) -> FullSolution:
-    """Time split, rate and bits of a pair whose e_e is known; energy = E(theta)."""
-    alpha = 1.0 - p.budget / (p.eta * e_i + energy)
+    """Time split, rate and bits of a pair whose e_e is known; energy = E(theta).
+
+    The receiving share 1 - alpha = budget/(eta*e_i + E) is formed once and
+    gives the bits, so a share too small to move alpha off 1 still counts.
+    """
+    share = p.budget / (p.eta * e_i + energy)
     rate = (theta - 1.0) / theta * capacity(e_i)
-    return FullSolution(alpha, rate, e_e, e_i, theta, (1.0 - alpha) * rate)
+    return FullSolution(1.0 - share, rate, e_e, e_i, theta, share * rate)
 
 
 def _zero_solution(p: SystemParams) -> tuple[CandidateSolution, FullSolution]:

@@ -337,6 +337,17 @@ class TestSweeps:
         _, opt, base, _ = row.split(",")
         assert float(opt) >= float(base) >= 0.0
 
+    def test_receiving_share_too_small_to_move_alpha_keeps_its_bits(self, capsys):
+        # budget/(eta*e_i + E) is 2.8e-17 at the optimum, so alpha rounds to
+        # exactly 1; the bits come from that share, not from 1 - alpha = 0.
+        argv = ("--eta", "0.5", "--g", "0", "--e-lim", "3", "--sweep", "e_avg:1e-16:1e-16:1")
+        code, out, err = run_cli(capsys, "sweep-single", *argv)
+        assert (code, err) == (0, "")
+        row = [ln for ln in out.strip().splitlines() if not ln.startswith("#")][1]
+        _, opt, base, _ = row.split(",")
+        assert opt == "7.70022852014e-18"
+        assert float(opt) >= float(base)
+
     def test_bad_sweep_spec_is_an_error(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep-single", "--sweep", "e_avg:0:1"

@@ -410,6 +410,30 @@ class TestPrunedGridMatchesFullMatrix:
         _assert_same_search(kind, P_REF, m, GridSpec())
         assert len(firsts) <= 12  # of 32
 
+    @pytest.mark.parametrize(
+        "kind, m, ceiling",
+        [
+            ("p2", MODEL, 133_632),
+            ("p8", MODEL, 130_784),
+            ("p2", power_law_model(1.0, 2.0), 67_616),
+            ("p8", power_law_model(1.0, 2.0), 81_536),
+        ],
+        ids=["p2-theta-log-theta", "p8-theta-log-theta", "p2-power-law", "p8-power-law"],
+    )
+    def test_evaluates_few_cells(self, monkeypatch, kind, m, ceiling):
+        # Within an evaluated block only the columns whose bound reaches the
+        # best value so far are evaluated; whole blocks gave 192k to 288k.
+        cells = []
+        evaluate = oracle._objective_rows
+
+        def counting(factor, energy, cap, *args):
+            cells.append(len(factor) * len(cap))
+            return evaluate(factor, energy, cap, *args)
+
+        monkeypatch.setattr(oracle, "_objective_rows", counting)
+        _assert_same_search(kind, P_REF, m, GridSpec())
+        assert sum(cells) <= ceiling  # of 1,000,000
+
     def test_exact_tie_in_an_earlier_block_with_a_smaller_bound(self, monkeypatch):
         # C = 1.  Rows 31 and 32 have E = t = (theta-1)/theta and read exactly
         # 1 at e = 0; every other row has E = 2 and reads below 0.5.  Block 0

@@ -42,7 +42,28 @@ def _minus_inf_beyond_cut(r, k, cut):
     return lambda x: k * (r - x) * (1.0 + x * x) if x < cut else -math.inf
 
 
-FAMILIES = (_linear, _exponential, _cubic, _tiny_cubic, _arctan, _minus_inf_beyond_cut)
+def _zero_plateau(r, k, cut):
+    # Exactly 0.0 on [2r - cut, cut]: an iterate that lands there returns at
+    # once, where C's "fpre != 0 && fcur != 0" guard is what keeps the
+    # bracket.
+    return lambda x: 0.0 if 2.0 * r - cut <= x <= cut else k * (x - r)
+
+
+def _minus_zero_plateau(r, k, cut):
+    # The same with -0.0, whose sign bit is set but which is still a zero.
+    return lambda x: -0.0 if 2.0 * r - cut <= x <= cut else k * (x - r)
+
+
+FAMILIES = (
+    _linear,
+    _exponential,
+    _cubic,
+    _tiny_cubic,
+    _arctan,
+    _minus_inf_beyond_cut,
+    _zero_plateau,
+    _minus_zero_plateau,
+)
 
 
 def _scipy(f, a, b, xtol, rtol):

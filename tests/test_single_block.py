@@ -34,6 +34,7 @@ from ehlink import (
     recover_full,
     solve_case_c,
     solve_lemma3,
+    solve_p8,
     theta_log_theta_model,
 )
 from ehlink import single_block
@@ -646,3 +647,46 @@ class TestConstantPowerBaseline:
         cand, _ = algorithm1(p, model)
         assert sol.total_bits_per_use.hex() == cand.objective.hex()
         assert sol.total_bits_per_use <= sol.bound + 1e-8
+
+
+def _typed(solve, *args):
+    """solve(*args), or the error it raised, which must be of a named subclass."""
+    try:
+        return solve(*args)
+    except (ValueError, RuntimeError) as exc:
+        assert type(exc) not in (ValueError, RuntimeError), repr(exc)
+        return exc
+
+
+class TestDomainEdges:
+    """ROADMAP item 5's properties over the edge distribution."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=FAMILIES)
+    def test_recovered_solution_meets_power_and_harvest(self, p, model):
+        # Both constraints hold with equality, to 1e-8 of the largest energy
+        # in each (alpha only weighs them).  Where alpha rounds to 1 a term
+        # (1 - alpha)*e can lose every digit, but not against that scale.
+        _, f = algorithm1(p, model)
+        energy, a = model.evaluate(f.theta), f.alpha
+        assert abs(a * f.e_e + (1 - a) * f.e_i - p.e_avg) <= 1e-8 * max(f.e_e, f.e_i, p.e_avg)
+        harvest, drain = a * p.eta * f.e_e, p.g + (1 - a) * energy
+        assert abs(harvest - drain) <= 1e-8 * max(p.eta * f.e_e, p.g, energy)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=FAMILIES)
+    def test_every_error_is_typed(self, p, model):
+        for solve in (algorithm1, constant_power_baseline, solve_p8):
+            _typed(solve, p, model)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        p=edge_params(),
+        model=FAMILIES,
+        shares=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3),
+    )
+    def test_plan_total_is_within_the_bound(self, p, model, shares):
+        prob = MultiBlockProblem(p, tuple(s * p.eta * p.e_avg for s in shares), model)
+        sol = _typed(iterative_solver, prob)
+        if not isinstance(sol, Exception):
+            assert sol.total_bits_per_use <= sol.bound + 1e-8
