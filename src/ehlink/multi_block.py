@@ -10,8 +10,9 @@ single-block `objective` at unit budget) admits a block-independent
 maximizer (theta_dot, e_dot), which yields a closed-form upper bound and the
 suffix-sum achievability condition.  The general case alternates per-block
 single-block solves with an exact LP over the transfers (`lp_step`), which
-HiGHS solves through scipy's bundled binding.  scipy loads on the first LP,
-so importing this module loads neither scipy nor numpy.
+HiGHS solves through scipy's bundled binding.  The first LP loads that
+binding's one extension module from its file, and no scipy package; importing
+this module loads neither scipy nor numpy.
 
 Each `lp_step` runs its chain of LPs (`_chain`) on one new HiGHS instance
 with the options scipy's ``linprog(method="highs")`` passes; nothing is held
@@ -26,8 +27,12 @@ warm starts moved some chains' final transfers in the 11th digit.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 from .decoder_energy import DecoderEnergyModel
 from .single_block import (
@@ -69,24 +74,59 @@ class LpDataError(ValueError):
     """The transfer LP's data are not finite, or HiGHS refuses them."""
 
 
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_binding():
+    """scipy's HiGHS extension module, loaded from its file without importing scipy.
+
+    `find_spec` locates the installed scipy without running its ``__init__``,
+    and the module is registered under its own name, so a later ``import
+    scipy.optimize`` shares it; one already registered is reused.  The
+    binding's package ``__init__`` is empty, so nothing it needs is skipped.
+    """
+    if _BINDING in sys.modules:
+        core = sys.modules[_BINDING]
+        if core is None:
+            raise ImportError(f"import of {_BINDING} halted; None in sys.modules")
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("No module named 'scipy'")
+    folders = scipy.submodule_search_locations or []
+    for folder in folders:
+        finder = FileFinder(
+            os.path.join(folder, "optimize", "_highspy"), (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        )
+        spec = finder.find_spec(_BINDING)
+        if spec is not None:
+            break
+    else:
+        raise ImportError(f"no {_BINDING} extension file under {folders}")
+    core = importlib.util.module_from_spec(spec)  # loads the file and runs its init
+    sys.modules[_BINDING] = core
+    spec.loader.exec_module(core)
+    return core
+
+
 @functools.cache
 def _highs():
     """scipy's bundled HiGHS binding and the options of its linprog, made on the first LP."""
     try:
-        from scipy.optimize._highspy import _core
+        core = _load_binding()
     except ImportError as exc:
         raise ImportError(
             "ehlink needs scipy>=1.15, whose bundled HiGHS binding "
-            f"(scipy.optimize._highspy._core) solves the transfer LP: {exc}"
+            f"({_BINDING}) solves the transfer LP: {exc}"
         ) from exc
     # The options scipy's linprog(method="highs") passes with its defaults.
-    options = _core.HighsOptions()
+    options = core.HighsOptions()
     options.presolve = "on"
-    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = False
     options.log_to_console = False
-    return _core, options
+    return core, options
 
 
 def _build_lp(core, cost, a_ub, b_ub):

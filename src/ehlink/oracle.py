@@ -10,7 +10,7 @@ only the cells that an exact float bound (the box bound of monotonic
 optimization, taken on the grid's own floats per block of theta rows and
 per e column) cannot rule out.
 The vertex enumeration solves every choice of rows, in one stacked call.
-numpy and scipy are imported on first use.
+numpy is imported on first use, and no scipy.
 """
 
 from __future__ import annotations
@@ -48,12 +48,18 @@ class GridSpec:
 
 
 def _capacity(e):
-    """BSC capacity 1 - H2(Q(sqrt(2*e))) over an array of energies e >= 0."""
-    import numpy as np
-    from scipy import special
+    """BSC capacity 1 - H2(Q(sqrt(2*e))) over an array of energies e >= 0.
 
-    eps = 0.5 * special.erfc(np.sqrt(2.0 * e) / math.sqrt(2.0))
-    c = 1.0 + (special.xlogy(eps, eps) + special.xlogy(1.0 - eps, 1.0 - eps)) / math.log(2.0)
+    erfc is taken per element with `math.erfc`; a grid holds at most a few
+    thousand energies.  0*log(0) reads 0, at a crossover that underflowed.
+    """
+    import numpy as np
+
+    x = (np.sqrt(2.0 * e) / math.sqrt(2.0)).ravel()
+    eps = 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, x.size).reshape(np.shape(e))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps_log_eps = np.where(eps > 0.0, eps * np.log(eps), 0.0)
+    c = 1.0 + (eps_log_eps + (1.0 - eps) * np.log(1.0 - eps)) / math.log(2.0)
     return np.clip(c, 0.0, 1.0)
 
 

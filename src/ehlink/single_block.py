@@ -209,7 +209,9 @@ def _theta_star(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
         lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > _THETA_CAP:
-            raise SolverError("no M-root below theta = 1e12; energy model suspect")
+            raise SolverError(
+                f"no M-root below theta = {_THETA_CAP:g} at e_i = {e_i:g} with model {m.name}"
+            )
         f_hi = f(hi)
     if f_lo is None:
         f_lo = f(lo)
@@ -243,7 +245,9 @@ def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
         lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > _E_CAP:
-            raise SolverError("no N-root below e = 100; energy model suspect")
+            raise SolverError(
+                f"no N-root below e = {_E_CAP:g} at theta = {theta:g} with model {m.name}"
+            )
         f_hi = f(hi)
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
 

@@ -423,8 +423,9 @@ class TestDeterminism:
 class TestImports:
     def test_single_block_commands_load_no_scipy(self):
         # A fresh interpreter: the test process itself has scipy and numpy
-        # loaded.  Single-block commands must import neither; the LP and the
-        # oracle still load both on first use.
+        # loaded.  Single-block commands must import neither.  The LP and
+        # the oracle load numpy on first use, and of scipy only the HiGHS
+        # binding's extension module, which registers its own submodules.
         code = """
 import contextlib, io, sys
 import ehlink.cli as cli
@@ -440,6 +441,12 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy"))
 assert not loaded, loaded
 run("verify", "--instances", "2", "--grid", "50x50")
 run("solve-multi", "--g-list", "0.1,0.0")
+run("sweep-multi", "--blocks", "2", "--sweep", "e_avg:0.5:1.0:0.5")
+core = "scipy.optimize._highspy._core"
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert core in loaded, loaded
+assert all(m == core or m.startswith(core + ".") for m in loaded), loaded
+assert "scipy.optimize" not in sys.modules and "scipy.special" not in sys.modules
 """
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run(
@@ -495,6 +502,16 @@ class TestErrorHandling:
         )
         assert code == 2
         assert "error" in err
+
+    def test_theta_cap_names_the_cap_and_the_model(self, capsys):
+        # A valid model (c > 0, p >= 1) whose M-root at e_i = e_lim lies
+        # past the theta cap: the error says which cap, where, and for
+        # which model, and does not call the model suspect.
+        code, out, err = run_cli(capsys, "solve-single", "--ed-model", "power-law:c=1e-300,p=2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: no M-root below theta = 1e+12 at e_i = 3 with model power-law:c=1e-300,p=2\n"
+        )
 
     def test_negative_g_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve-single", "--g", "-0.1")

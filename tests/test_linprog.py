@@ -1,6 +1,13 @@
-"""The transfer LP's chain on HiGHS against scipy's linprog: the same floats, the same failures."""
+"""The transfer LP's chain on HiGHS against scipy's linprog: the same floats, the same failures.
 
+The binding is loaded from its file without importing scipy; the last tests
+check that it is the module scipy itself uses, and that it gives the same bits.
+"""
+
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,3 +178,82 @@ def test_missing_binding_names_the_scipy_floor(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     with pytest.raises(ImportError, match=r"scipy>=1\.15"):
         multi_block._highs.__wrapped__()
+
+
+SRC = str(Path(multi_block.__file__).resolve().parents[1])
+
+
+def _fresh(code, pythonpath=SRC):
+    """stdout of ``code`` in a fresh interpreter that imports ehlink from this tree."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_absent_binding_file_names_the_scipy_floor(tmp_path):
+    # A scipy package that ships no binding file under optimize/_highspy.
+    (tmp_path / "scipy" / "optimize" / "_highspy").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    message = _fresh(
+        """
+from ehlink import multi_block
+try:
+    multi_block._highs()
+except ImportError as exc:
+    print(exc)
+""",
+        os.pathsep.join((str(tmp_path), SRC)),
+    )
+    assert message.startswith("ehlink needs scipy>=1.15, whose bundled HiGHS binding")
+    assert "no scipy.optimize._highspy._core extension file under" in message
+
+
+def test_binding_loaded_first_is_the_one_scipy_uses():
+    _fresh(
+        """
+import sys
+from ehlink import multi_block
+core = multi_block._highs()[0]
+assert sys.modules["scipy.optimize._highspy._core"] is core
+assert "scipy" not in sys.modules and "scipy.optimize" not in sys.modules
+import scipy.optimize
+from scipy.optimize._highspy import _core, _highs_wrapper
+assert _core is core and _highs_wrapper._h is core
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+assert res.success and res.x.tolist() == [1.0, 0.0], res
+"""
+    )
+
+
+# repr of lp_step on fixed LPs, some with tie chains, after the given imports.
+_LP_STEPS = """
+import sys
+{imports}
+from ehlink import MultiBlockProblem, SystemParams, lp_step, theta_log_theta_model
+from ehlink.decoder_energy import power_law_model
+
+models = (theta_log_theta_model(), power_law_model(1.0, 2.0), power_law_model(0.05, 10.0))
+steps = [
+    (SystemParams(1.0, 0.0, 1.0, 4.0), (0.2,) * 3, [2.0] * 3, [1.0] * 3),
+    (SystemParams(0.5, 0.0, 0.5, 1.0), (0.0, 0.0), [4.0, 2.0], [1.0, 1.0]),
+    (SystemParams(1.0, 0.0, 2.5, 4.0), (0.0, 2.0), [3.0, 1.5], [2.0, 0.5]),
+    (SystemParams(0.8, 0.0, 1.5, 3.0), (0.1, 0.0, 0.6, 0.2), [1.5, 2.0, 2.5, 3.0], [0.5, 1.0, 3.0, 2.0]),
+    (SystemParams(1.0, 0.0, 1.0, 2.0), (0.3,) * 6, [1.7] * 6, [0.9] * 6),
+]
+for m in models:
+    for p, gs, thetas, e_is in steps:
+        print(repr(lp_step(MultiBlockProblem(p, gs, m), thetas, e_is)))
+print(sorted(name for name in sys.modules if name.startswith("scipy.optimize")))
+"""
+
+
+def test_lp_step_bits_do_not_depend_on_who_loads_the_binding():
+    alone = _fresh(_LP_STEPS.format(imports="")).splitlines()
+    after_scipy = _fresh(_LP_STEPS.format(imports="import scipy.optimize")).splitlines()
+    assert all(name.startswith("scipy.optimize._highspy._core") for name in eval(alone[-1]))
+    assert "'scipy.optimize'" in after_scipy[-1]
+    assert alone[:-1] == after_scipy[:-1]
+    assert len(set(alone[:-1])) > 1
