@@ -3,10 +3,11 @@
 A model maps theta = C/(C - R) >= 1 to the decoding energy per channel use.
 Every model must be zero at theta = 1, non-decreasing, convex, and unbounded
 as theta grows, and must supply its exact derivative with its value (the
-solvers read both at each theta they visit).  Two built-ins are provided:
+solvers read both at each theta they visit).  A value past the float range
+is returned as inf, never raised.  Two built-ins are provided:
 theta*log2(theta), which matches iterative-decoding complexity results for
 LDPC codes, and a power-law family c*(theta-1)^p for exercising solver
-generality.
+generality; the solvers take it at any c > 0 and p >= 1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .roots import brentq
+from .roots import SolverError, brentq
 
 __all__ = [
     "DecoderEnergyModel",
@@ -78,11 +79,20 @@ def power_law_model(c: float = 1.0, p: float = 2.0) -> DecoderEnergyModel:
 
     def evaluate(theta):
         t = _check_theta(theta)
-        return c * (t - 1.0) ** p
+        try:
+            return c * (t - 1.0) ** p
+        except OverflowError:  # (theta - 1)^p is past the float range
+            return math.inf
 
     def evaluate_pair(theta):
         t = _check_theta(theta)
-        return c * (t - 1.0) ** p, c * p * (t - 1.0) ** (p - 1.0)
+        try:
+            return c * (t - 1.0) ** p, c * p * (t - 1.0) ** (p - 1.0)
+        except OverflowError:  # E is past the float range; E' may not be
+            try:
+                return math.inf, c * p * (t - 1.0) ** (p - 1.0)
+            except OverflowError:
+                return math.inf, math.inf
 
     return DecoderEnergyModel(f"power-law:c={c:g},p={p:g}", evaluate, evaluate_pair)
 
@@ -134,9 +144,9 @@ def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
     while e_hi < target:
         hi *= 2.0
         if hi == math.inf:
-            raise RuntimeError(
-                f"decoder energy model does not reach {target:g} at any finite theta; "
-                "unbounded-growth property violated"
+            raise SolverError(
+                f"decoder energy model {model.name} does not reach {target:g} "
+                "within the float range"
             )
         e_hi = model.evaluate(hi)
 

@@ -14,11 +14,15 @@ import math
 import sys
 from typing import Callable
 
-__all__ = ["brentq"]
+__all__ = ["SolverError", "brentq"]
 
 # scipy's smallest accepted rtol and its default iteration limit.
 _MIN_RTOL = 4.0 * sys.float_info.epsilon
 _MAX_ITER = 100
+
+
+class SolverError(RuntimeError):
+    """A solve could not finish: a root bracket left the float range, or an iteration failed."""
 
 
 def _nan_error(x: float) -> ValueError:

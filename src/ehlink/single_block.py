@@ -24,7 +24,7 @@ from enum import Enum
 
 from .channel import capacity, capacity_pair
 from .decoder_energy import DecoderEnergyModel, inverse_energy
-from .roots import brentq
+from .roots import SolverError, brentq
 
 __all__ = [
     "Case",
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 FEAS_TOL = 1e-10
-_THETA_CAP = 1e12
-_E_CAP = 100.0
 _FIXED_POINT_TOL = 1e-9
 _DEDUP_TOL = 1e-6
 _MAX_ALTERNATIONS = 500
@@ -56,10 +54,6 @@ _N_STARTS = 16
 # Distinct (eta, e_lim, model) keys kept by the case (a)/(b) memo: a 40-row
 # region map (one e_lim per row) fits with room to spare.
 _AB_CACHE_SIZE = 64
-
-
-class SolverError(RuntimeError):
-    """A root bracket could not be established within the search caps."""
 
 
 class InfeasibleRecoveryError(ValueError):
@@ -205,12 +199,12 @@ def _theta_star(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     f = _m_of_theta(e_i, p, m)
     lo, hi = 1.0, 2.0
     f_lo, f_hi = None, f(hi)
-    while f_hi > 0.0:
+    while not f_hi <= 0.0:  # a NaN M (E past the floats) doubles on to the error
         lo, f_lo = hi, f_hi
         hi *= 2.0
-        if hi > _THETA_CAP:
+        if hi == math.inf:
             raise SolverError(
-                f"no M-root below theta = {_THETA_CAP:g} at e_i = {e_i:g} with model {m.name}"
+                f"no M-root within the float range at e_i = {e_i:g} with model {m.name}"
             )
         f_hi = f(hi)
     if f_lo is None:
@@ -241,13 +235,10 @@ def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
         # property-(1)/(2) model, so treat as solver failure.
         raise SolverError("N(0+) <= 0; energy model suspect")
     f_hi = f(hi)
+    # N = -eta once C' underflows (e above about 745), so hi stops by e = 1024.
     while f_hi > 0.0:
         lo, f_lo = hi, f_hi
         hi *= 2.0
-        if hi > _E_CAP:
-            raise SolverError(
-                f"no N-root below e = {_E_CAP:g} at theta = {theta:g} with model {m.name}"
-            )
         f_hi = f(hi)
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
 
@@ -352,7 +343,9 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
         c_prime = c_rate * e_prime
         q = theta * theta - theta
         gap = e_lim - e
-        return gap * c + q * gap * c_prime + q * c * e_prime
+        value = gap * c + q * gap * c_prime + q * c * e_prime
+        # q * gap can overflow against a zero C' (inf * 0): h/q has h's sign and root.
+        return value if value == value else gap * c / q + gap * c_prime + c * e_prime
 
     h_one = h(1.0)
     if h_one <= 0.0:
@@ -450,6 +443,8 @@ def algorithm1(
     if not ranked:
         raise SolverError("no feasible candidate; internal consistency failure")
     best = ranked[0]
+    if best.case_label is Case.MAX_HARVEST_POWER:  # e_e = e_lim; recover_full's can cancel
+        return best, _full_solution(best.theta, best.e_i, p.e_lim, m.evaluate(best.theta), p)
     return best, recover_full(best.theta, best.e_i, p, m)
 
 

@@ -29,6 +29,7 @@ from ehlink import (
     theta_log_theta_model,
 )
 from ehlink.cli import main
+from ehlink.decoder_energy import DecoderEnergyModel
 from ehlink.multi_block import MultiBlockProblem
 from ehlink.single_block import _case_ab_pairs
 
@@ -503,15 +504,25 @@ class TestErrorHandling:
         assert code == 2
         assert "error" in err
 
-    def test_theta_cap_names_the_cap_and_the_model(self, capsys):
-        # A valid model (c > 0, p >= 1) whose M-root at e_i = e_lim lies
-        # past the theta cap: the error says which cap, where, and for
-        # which model, and does not call the model suspect.
-        code, out, err = run_cli(capsys, "solve-single", "--ed-model", "power-law:c=1e-300,p=2")
+    @pytest.mark.parametrize("c", ["1e-300", "1e-34"])
+    def test_tiny_scale_power_law_solves_on_the_harvest_boundary(self, capsys, c):
+        # At c = 1e-300 the M-root at e_i = e_lim lies near theta = 1e100: a
+        # valid model (c > 0, p >= 1) solves at any scale.  A case (c) winner
+        # prints e_e = e_lim exactly (at c = 1e-34 recover_full's denominator
+        # cancelled, and e_e read 3.00042662907).
+        code, out, err = run_cli(capsys, "solve-single", "--ed-model", f"power-law:c={c},p=2")
+        assert (code, err) == (0, "")
+        _, fields = single_row(out)
+        assert (fields["case"], fields["e_lim"], fields["e_e"]) == ("c", "3", "3")
+
+    def test_no_m_root_in_the_float_range_names_the_model(self, capsys, monkeypatch):
+        # E' = 0 keeps M = eta*e_i + E(theta) > 0 at every float theta, so
+        # the bracket doubles out of the floats and the error says so.
+        stub = DecoderEnergyModel("stub", lambda t: t - 1.0, lambda t: (t - 1.0, 0.0))
+        monkeypatch.setattr(cli, "parse_model", lambda spec: stub)
+        code, out, err = run_cli(capsys, "solve-single")
         assert (code, out) == (2, "")
-        assert err == (
-            "error: no M-root below theta = 1e+12 at e_i = 3 with model power-law:c=1e-300,p=2\n"
-        )
+        assert err == "error: no M-root within the float range at e_i = 3 with model stub\n"
 
     def test_negative_g_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve-single", "--g", "-0.1")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehlink import inverse_energy, parse_model, power_law_model, theta_log_theta_model
+from ehlink.roots import SolverError
 
 MODELS = [theta_log_theta_model(), power_law_model(1.0, 2.0), power_law_model(0.3, 1.5)]
 
@@ -52,7 +53,7 @@ def _power_law_slope(c, p):
     return slope
 
 
-# The clamp slack below 1, the whole working range, and the solvers' theta cap.
+# The clamp slack below 1 and the working range up to theta = 1e12.
 THETAS = st.one_of(
     st.floats(1.0 - 1e-13, 1.0 + 1e-6),
     st.floats(0.0, 12.0).map(lambda x: 10.0**x),
@@ -116,6 +117,22 @@ class TestPowerLaw:
             power_law_model(c=math.nan)
         with pytest.raises(ValueError, match="^power-law p must be finite"):
             power_law_model(p=math.inf)
+
+    def test_past_the_float_range_is_inf(self):
+        # (theta - 1)^2 overflows at 1e200 and (theta - 1)^1 does not; a
+        # power that overflows reads inf instead of raising.
+        assert power_law_model(1.0, 2.0).evaluate(1e200) == math.inf
+        assert power_law_model(1.0, 2.0).evaluate_pair(1e200) == (math.inf, 2e200)
+        assert power_law_model(1.0, 3.0).evaluate_pair(1e200) == (math.inf, math.inf)
+
+    def test_inverse_past_the_float_range_is_a_typed_error(self):
+        # c = 5e-324 with p = 1 tops out near E = 4e-16 at the largest float.
+        with pytest.raises(
+            SolverError,
+            match=r"^decoder energy model power-law:c=4\.94066e-324,p=1 does not reach 1 "
+            r"within the float range$",
+        ):
+            inverse_energy(power_law_model(5e-324, 1.0), 1.0)
 
 
 class TestParseModel:

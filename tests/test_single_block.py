@@ -255,11 +255,13 @@ def _ref_theta_star(e_i, p, m):
 
     lo, hi = 1.0, 2.0
     f_lo, f_hi = None, f(hi)
-    while f_hi > 0.0:
+    while not f_hi <= 0.0:
         lo, f_lo = hi, f_hi
         hi *= 2.0
-        if hi > single_block._THETA_CAP:
-            raise SolverError("no M-root below theta = 1e12; energy model suspect")
+        if hi == math.inf:
+            raise SolverError(
+                f"no M-root within the float range at e_i = {e_i:g} with model {m.name}"
+            )
         f_hi = f(hi)
     if f_lo is None:
         f_lo = f(lo)
@@ -278,8 +280,6 @@ def _ref_e_star(theta, p, m):
     while f_hi > 0.0:
         lo, f_lo = hi, f_hi
         hi *= 2.0
-        if hi > single_block._E_CAP:
-            raise SolverError("no N-root below e = 100; energy model suspect")
         f_hi = f(hi)
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
 
@@ -360,6 +360,14 @@ def edge_params(draw):
 
 FAMILIES = st.one_of(
     st.just(MODEL), st.builds(power_law_model, st.floats(0.05, 20.0), st.floats(1.0, 10.0))
+)
+
+# Power laws over every scale: c log-uniform on [1e-300, 1e2], or the least
+# positive float, and p on [1, 10].
+SCALES = st.builds(
+    power_law_model,
+    st.one_of(st.floats(-300.0, 2.0).map(lambda x: 10.0**x), st.just(5e-324)),
+    st.floats(1.0, 10.0),
 )
 
 
@@ -690,3 +698,32 @@ class TestDomainEdges:
         sol = _typed(iterative_solver, prob)
         if not isinstance(sol, Exception):
             assert sol.total_bits_per_use <= sol.bound + 1e-8
+
+    def test_case_c_residual_survives_an_overflowing_theta(self):
+        # brentq's iterates reach theta = 1.6e281, where h's q*gap overflows
+        # against a zero C' (inf*0 is NaN); h/q there keeps h's sign and root.
+        p = SystemParams(
+            eta=0.00021984838277072508,
+            g=0.0063102709705125095,
+            e_avg=130.43669303165322,
+            e_lim=289.2083326349849,
+        )
+        model = power_law_model(1.639323031116131e-284, 1.0)
+        cand = solve_case_c(p, model)
+        assert feasible(cand.theta, cand.e_i, p, model)
+        assert cand.objective > constant_power_baseline(p, model).bits_per_use
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=SCALES)
+    def test_every_model_scale_solves(self, p, model):
+        # A model that leaves the float range before its roots (c = 5e-324
+        # with p = 1 tops out near E = 4e-16) raises the typed error; every
+        # other solve keeps e_e <= e_lim and is not below the baseline.
+        try:
+            _, full = algorithm1(p, model)
+            base = constant_power_baseline(p, model).bits_per_use
+        except SolverError as exc:
+            assert "within the float range" in str(exc), exc
+            return
+        assert full.e_e <= p.e_lim * (1 + 1e-12)
+        assert full.bits_per_use >= base - 1e-12 * max(1.0, base)
