@@ -182,10 +182,11 @@ def _resolve_g_list(args) -> tuple[float, ...]:
 def cmd_sweep_single(args) -> int:
     sweeps = _parse_sweeps(args.sweep, "sweep-single", ("e_avg",))
     model = parse_model(args.ed_model)
+    seed = single_block.RowSeed()
 
     def row(e_avg: float):
         p = _params(args, e_avg=e_avg)
-        _, full = single_block.algorithm1(p, model)
+        _, full = single_block.algorithm1(p, model, seed=seed)
         baseline = single_block.constant_power_baseline(p, model)
         ratio = (
             full.bits_per_use / baseline.bits_per_use
@@ -200,13 +201,13 @@ def cmd_sweep_single(args) -> int:
     return 0
 
 
-def _case_margins(p: SystemParams, model) -> tuple[str, float]:
+def _case_margins(p: SystemParams, model, seed) -> tuple[str, float]:
     """Winning case label and its margin over the best candidate of another case.
 
     A zero budget has no contest: `algorithm1`'s label, margin 0."""
     if p.budget <= 0.0:
-        return single_block.algorithm1(p, model)[0].case_label.value, 0.0
-    ranked = single_block.ranked_candidates(p, model)
+        return single_block.algorithm1(p, model, seed=seed)[0].case_label.value, 0.0
+    ranked = single_block.ranked_candidates(p, model, seed=seed)
     if not ranked:
         return "invalid", math.nan
     winner = ranked[0]
@@ -225,13 +226,17 @@ def cmd_region_map(args) -> int:
         )
     model = parse_model(args.ed_model)
 
-    def classify(e_lim: float, e_avg: float):
+    def classify(e_lim: float, e_avg: float, seed):
         if not e_avg < e_lim or args.eta * e_avg < args.g:
+            seed.reset()
             return e_lim, e_avg, "invalid", math.nan
         p = _params(args, e_avg=e_avg, e_lim=e_lim)
-        return e_lim, e_avg, *_case_margins(p, model)
+        return e_lim, e_avg, *_case_margins(p, model, seed)
 
-    rows = [classify(e_lim, e_avg) for e_lim in e_lims for e_avg in e_avgs]
+    rows = []
+    for e_lim in e_lims:
+        seed = single_block.RowSeed()  # a row's cells differ only in e_avg
+        rows += [classify(e_lim, e_avg, seed) for e_avg in e_avgs]
     meta = {"eta": args.eta, "g": args.g, "model": model.name}
     _emit_csv(args, meta, "e_lim,e_avg,case,margin", rows)
     return 0

@@ -133,12 +133,18 @@ def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
     Brent's method (`roots.brentq`) on [1, hi] after doubling hi from 2;
     existence is guaranteed by the model growing without bound.  A convex,
     non-decreasing, unbounded model grows at least linearly, so hi may
-    double until it leaves the floats.
+    double until it leaves the floats.  A target of inf or NaN raises
+    `SolverError`, as does one the model reaches only past the floats.
     """
     if target < 0:
         raise ValueError("target energy must be >= 0")
     if target == 0.0:
         return 1.0
+    if not target < math.inf:  # the bracket below would hand brentq inf - inf
+        raise SolverError(
+            f"decoder energy model {model.name} cannot reach target energy {target:g}: "
+            "it is not within the float range"
+        )
     hi = 2.0
     e_hi = model.evaluate(hi)
     while e_hi < target:

@@ -13,6 +13,12 @@ causality and average-power constraints, to a two-variable problem over
 `ranked_candidates` enumerates the three candidate families, filters
 infeasible points and ranks the rest; `algorithm1` returns the best one
 together with the recovered full solution.
+
+A row of solves that differ only in e_avg (a region-map row, a sweep) can
+share a `RowSeed`: each cell's case (c) root is then bracketed around a
+prediction from the previous cells (natural-parameter continuation), and
+matches the unseeded root to brentq's tolerance rather than bit for bit.
+Without a seed every solve is cold and reproducible on its own.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "n_function",
     "solve_lemma3",
     "case_ab_pairs",
+    "RowSeed",
     "solve_case_c",
     "recover_full",
     "ranked_candidates",
@@ -51,6 +58,8 @@ _FIXED_POINT_TOL = 1e-9
 _DEDUP_TOL = 1e-6
 _MAX_ALTERNATIONS = 500
 _N_STARTS = 16
+# brentq's tolerances for case (c)'s root.
+_XTOL, _RTOL = 1e-12, 8.9e-16
 # Distinct (eta, e_lim, model) keys kept by the case (a)/(b) memo: a 40-row
 # region map (one e_lim per row) fits with room to spare.
 _AB_CACHE_SIZE = 64
@@ -315,7 +324,70 @@ def _case_ab_pairs(
     return tuple(out)
 
 
-def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | None:
+class RowSeed:
+    """The case (c) roots of the last cells of one row, for `solve_case_c`.
+
+    A row is a run of solves that differ only in e_avg (a region-map row, a
+    single-block sweep).  Pass one seed to every cell of the row, in row
+    order; `solve_case_c` reads the last two (e_avg, theta_c) pairs and
+    records each new one.  `reset` forgets them, as after a cell that has
+    no case (c) root.
+    """
+
+    __slots__ = ("_cells",)
+
+    def __init__(self):
+        self._cells: tuple[tuple[float, float], ...] = ()
+
+    def reset(self) -> None:
+        self._cells = ()
+
+    def _record(self, e_avg: float, theta: float) -> None:
+        self._cells = (*self._cells[-1:], (e_avg, theta))
+
+    def _bracket_root(self, e_avg: float, h, h_one: float) -> float | None:
+        """h's root from a bracket around the extrapolated theta_c, or None.
+
+        theta_c is predicted linearly in e_avg from the last two cells, with
+        a half-width of 1/32 of the last move in theta_c; the half-width
+        doubles until h changes sign, finite at both ends.  The low end
+        clamps at 1, where h(1) = h_one > 0.  None (fall back to the cold
+        bracket) with fewer than two cells, a prediction outside (1, inf),
+        or an h that is not finite: past theta', where e_i = 0.
+        """
+        if len(self._cells) < 2:
+            return None
+        (e0, t0), (e1, t1) = self._cells
+        move = t1 - t0
+        pred = t1 if e1 == e0 else t1 + move / (e1 - e0) * (e_avg - e1)
+        if not 1.0 < pred < math.inf:
+            return None
+        # Floored at brentq's own tolerance, so a zero move still widens.
+        width = max(abs(move) / 32.0, _XTOL + _RTOL * pred)
+        lo, hi = max(1.0, pred - width), pred + width
+        h_lo = h(lo) if lo > 1.0 else h_one
+        if not math.isfinite(h_lo):
+            return None
+        if h_lo > 0.0:
+            h_hi = h(hi)
+            while h_hi > 0.0:  # the root is above hi: hi becomes lo
+                width *= 2.0
+                lo, h_lo, hi = hi, h_hi, pred + width
+                h_hi = h(hi)
+        else:
+            hi, h_hi = lo, h_lo
+            while h_lo < 0.0:  # the root is below lo: lo becomes hi
+                width *= 2.0
+                hi, h_hi, lo = lo, h_lo, max(1.0, pred - width)
+                h_lo = h(lo) if lo > 1.0 else h_one
+        if not (math.isfinite(h_lo) and math.isfinite(h_hi)):
+            return None
+        return brentq(h, lo, hi, h_lo, h_hi, xtol=_XTOL, rtol=_RTOL, maxiter=2000)
+
+
+def solve_case_c(
+    p: SystemParams, m: DecoderEnergyModel, *, seed: RowSeed | None = None
+) -> CandidateSolution | None:
     """Peak harvesting power: best point on the e_e = e_lim boundary.
 
     On that boundary e_i is an affine decreasing function of E(theta); the
@@ -324,8 +396,20 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
     boundary meets e_i = 0), so one bracketed root find (`roots.brentq`)
     gives the optimum.
     Returns None when no interior root exists (degenerate bracket).
+
+    Without a seed, the bracket is [1, theta' - gap], with theta' from
+    `inverse_energy`.  With a `RowSeed` the bracket comes from the row's
+    previous cells (`RowSeed._bracket_root`), and theta' is found only when
+    that bracket falls back; the root then matches the cold one to brentq's
+    tolerance (about 1e-12 relative), not bit for bit.  As e_avg nears e_lim
+    h's terms cancel to a rounding band of relative width about
+    eps*e_lim/(e_lim - e_avg), and the two roots may differ by that much;
+    neither is the closer to the optimum.  The seed records each root
+    found, and is reset when this returns None.
     """
     if p.budget <= 0.0:
+        if seed is not None:
+            seed.reset()
         return None
     # On the boundary e_i = top - k*E(theta), floored at 0.
     denom = p.eta * p.e_lim - p.g
@@ -349,8 +433,27 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
 
     h_one = h(1.0)
     if h_one <= 0.0:
+        if seed is not None:
+            seed.reset()
         return None
-    theta_prime = inverse_energy(m, p.budget / (p.e_lim - p.e_avg) * p.e_lim)
+    # theta' solves E(theta') = target; a target past the floats is the cold
+    # path's typed error, so the seeded path does not step around it.
+    target = p.budget / (p.e_lim - p.e_avg) * p.e_lim
+    theta = None
+    if seed is not None and target < math.inf:
+        theta = seed._bracket_root(p.e_avg, h, h_one)
+    if theta is None:
+        theta = _cold_root(h, h_one, inverse_energy(m, target))
+    if seed is not None:
+        seed._record(p.e_avg, theta)
+    e_i = max(0.0, top - k * m.evaluate(theta))
+    return CandidateSolution(
+        theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)
+    )
+
+
+def _cold_root(h, h_one: float, theta_prime: float) -> float:
+    """h's root on [1, theta' - gap], the gap shrunk until h(theta' - gap) <= 0."""
     gap = max(1e-12, 1e-9 * (theta_prime - 1.0))
     hi = theta_prime - gap
     h_hi = h(hi) if hi > 1.0 else math.nan  # h is defined for theta >= 1 only
@@ -363,16 +466,11 @@ def solve_case_c(p: SystemParams, m: DecoderEnergyModel) -> CandidateSolution | 
             # e_i ~ 0 and negligible objective.
             break
     if not hi > 1.0 or h_hi > 0.0:
-        theta = hi if hi > 1.0 else 1.0 + 1e-12
-    else:
-        # With e_avg a few ulps below e_lim, theta' passes 1e11 and brentq
-        # can need more than scipy's 100 iterations (125 at most in a
-        # 4000-draw probe); bisection from [1, float max] needs about 1065.
-        theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16, maxiter=2000)
-    e_i = max(0.0, top - k * m.evaluate(theta))
-    return CandidateSolution(
-        theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)
-    )
+        return hi if hi > 1.0 else 1.0 + 1e-12
+    # With e_avg a few ulps below e_lim, theta' passes 1e11 and brentq
+    # can need more than scipy's 100 iterations (125 at most in a
+    # 4000-draw probe); bisection from [1, float max] needs about 1065.
+    return brentq(h, 1.0, hi, h_one, h_hi, xtol=_XTOL, rtol=_RTOL, maxiter=2000)
 
 
 def recover_full(
@@ -384,12 +482,20 @@ def recover_full(
     construction.
     """
     energy = m.evaluate(theta)
-    denom = p.eta * e_i + energy - p.budget
-    if denom <= 1e-14:
+    drain = p.eta * e_i + energy
+    denom = drain - p.budget  # alpha * drain
+    # Relative to drain: with e_avg a hair below e_lim and E tiny, a valid
+    # alpha of 1e-13 has a denom below any absolute floor.
+    if denom <= 1e-14 * drain:
         raise InfeasibleRecoveryError(
             "eta*e_i + E(theta) must exceed the budget (alpha would leave [0, 1])"
         )
     e_e = (energy * p.e_avg + p.g * e_i) / denom
+    if not math.isfinite(e_e):
+        raise SolverError(
+            f"recovered e_e = (E(theta)*e_avg + g*e_i)/(alpha*(eta*e_i + E)) is not "
+            f"within the float range at theta = {theta:g}, e_i = {e_i:g} with model {m.name}"
+        )
     return _full_solution(theta, e_i, e_e, energy, p)
 
 
@@ -412,34 +518,40 @@ def _zero_solution(p: SystemParams) -> tuple[CandidateSolution, FullSolution]:
     return cand, full
 
 
-def ranked_candidates(p: SystemParams, m: DecoderEnergyModel) -> list[CandidateSolution]:
+def ranked_candidates(
+    p: SystemParams, m: DecoderEnergyModel, *, seed: RowSeed | None = None
+) -> list[CandidateSolution]:
     """Feasible case (a)/(b)/(c) candidates, best objective first.
 
     Feasibility is checked before an objective is computed.  The sort is
     stable, so ties keep the a, b, c enumeration order and the first entry
-    is the first maximizer in that order.
+    is the first maximizer in that order.  A row's `seed` goes to
+    `solve_case_c`.
     """
     candidates = [
         CandidateSolution(t, e, c, objective(t, e, p, m))
         for t, e, c in case_ab_pairs(p, m)
         if feasible(t, e, p, m)
     ]
-    cand_c = solve_case_c(p, m)
+    cand_c = solve_case_c(p, m, seed=seed)
     if cand_c is not None and feasible(cand_c.theta, cand_c.e_i, p, m):
         candidates.append(cand_c)
     return sorted(candidates, key=lambda c: c.objective, reverse=True)
 
 
 def algorithm1(
-    p: SystemParams, m: DecoderEnergyModel
+    p: SystemParams, m: DecoderEnergyModel, *, seed: RowSeed | None = None
 ) -> tuple[CandidateSolution, FullSolution]:
     """Globally optimal single-block solution.
 
     Takes the top-ranked feasible candidate and recovers its full solution.
+    A row's `seed` goes to `solve_case_c`, and is reset at zero budget.
     """
     if p.budget <= 0.0:
+        if seed is not None:
+            seed.reset()
         return _zero_solution(p)
-    ranked = ranked_candidates(p, m)
+    ranked = ranked_candidates(p, m, seed=seed)
     if not ranked:
         raise SolverError("no feasible candidate; internal consistency failure")
     best = ranked[0]

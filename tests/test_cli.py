@@ -296,10 +296,10 @@ class TestSweeps:
         a2 = CandidateSolution(2.0, 0.5, Case.TRADE_OFF, 0.375)
         b = CandidateSolution(1.4, 3.0, Case.MAX_INFO_POWER, 0.25)
         for ranked, expected in (([a1, a2, b], ("a", 0.25)), ([a1, a2], ("a", math.inf))):
-            monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m: ranked)
-            assert cli._case_margins(P_MAP, None) == expected
-        monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m: [])
-        case, margin = cli._case_margins(P_MAP, None)
+            monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m, seed: ranked)
+            assert cli._case_margins(P_MAP, None, None) == expected
+        monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m, seed: [])
+        case, margin = cli._case_margins(P_MAP, None, None)
         assert case == "invalid" and math.isnan(margin)
 
     def test_zero_budget_is_case_a_in_every_command(self, capsys):

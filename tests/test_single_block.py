@@ -5,6 +5,8 @@ over 4e6 theta points and of N over 5e6 energy points) before being pinned
 here; closed-form checkpoints are evaluated by hand.
 """
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -37,8 +39,8 @@ from ehlink import (
     solve_p8,
     theta_log_theta_model,
 )
-from ehlink import single_block
-from ehlink.decoder_energy import DecoderEnergyModel, inverse_energy
+from ehlink import cli, single_block
+from ehlink.decoder_energy import DecoderEnergyModel, inverse_energy, parse_model
 from ehlink.roots import brentq
 from ehlink.single_block import (
     _AB_CACHE_SIZE,
@@ -49,6 +51,7 @@ from ehlink.single_block import (
 )
 
 MODEL = theta_log_theta_model()
+EPS = sys.float_info.epsilon
 P_REF = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
 
 
@@ -657,10 +660,10 @@ class TestConstantPowerBaseline:
         assert sol.total_bits_per_use <= sol.bound + 1e-8
 
 
-def _typed(solve, *args):
+def _typed(solve, *args, **kwargs):
     """solve(*args), or the error it raised, which must be of a named subclass."""
     try:
-        return solve(*args)
+        return solve(*args, **kwargs)
     except (ValueError, RuntimeError) as exc:
         assert type(exc) not in (ValueError, RuntimeError), repr(exc)
         return exc
@@ -727,3 +730,236 @@ class TestDomainEdges:
             return
         assert full.e_e <= p.e_lim * (1 + 1e-12)
         assert full.bits_per_use >= base - 1e-12 * max(1.0, base)
+
+
+def _outcome(solve, *args, **kwargs):
+    """solve's result, or the (type, message) of the typed error it raised."""
+    out = _typed(solve, *args, **kwargs)
+    return (type(out), str(out)) if isinstance(out, Exception) else out
+
+
+def _same_candidate(seeded, cold, p):
+    """Seeded and cold case (c) outcomes: both None, the same error, or one root.
+
+    Each root is within brentq's stop rule, 2*(xtol + rtol*theta), of a sign
+    change of the computed h.  As e_avg nears e_lim, h's terms cancel to a
+    rounding band of relative width eps*e_lim/(e_lim - e_avg), in which
+    neither root is closer to the optimum than the other.  So the thetas
+    agree to 1e-12 relative or that band, and the objectives to 1e-12
+    relative or the band over theta - 1 (a first-order change in the
+    objective's (theta - 1)/theta factor).
+    """
+    if not isinstance(cold, CandidateSolution):
+        return seeded == cold
+    if not isinstance(seeded, CandidateSolution):
+        return False
+    theta = cold.theta
+    band = 2.0 * (1e-12 + 8.9e-16 * theta) + theta * EPS * p.e_lim / (p.e_lim - p.e_avg)
+    return abs(seeded.theta - theta) <= max(1e-12 * theta, band) and abs(
+        seeded.objective - cold.objective
+    ) <= cold.objective * max(1e-12, band / (theta - 1.0))
+
+
+MODEL_SPECS = st.one_of(
+    st.just("theta-log-theta"),
+    st.builds(
+        "power-law:c={!r},p={!r}".format, st.floats(0.05, 20.0), st.floats(1.0, 10.0)
+    ),
+)
+
+
+@st.composite
+def rows(draw):
+    """A region-map row as the CLI builds it: 5-200 e_avg cells of one e_lim,
+    often ending within a hair of e_lim, with g putting the first cells below
+    the harvest floor (invalid) or exactly on it (zero budget)."""
+    p = draw(edge_params())
+    n = draw(st.integers(5, 200))
+    lo = draw(st.floats(0.0, 0.9))
+    near_one = st.floats(-15.0, -2.0).map(lambda x: 1.0 - 10.0**x)
+    hi = draw(st.one_of(st.floats(lo + 0.05, 0.99), near_one))
+    start, step = lo * p.e_lim, (hi - lo) * p.e_lim / (n - 1)
+    sweep = f"e_avg:{start!r}:{start + step * (n - 1)!r}:{step!r}"
+    g = p.eta * p.e_lim * draw(st.one_of(st.just(0.0), st.floats(0.0, hi)))
+    if draw(st.booleans()):  # the first cell on the floor: zero budget
+        g = p.eta * start
+    return p.eta, g, p.e_lim, sweep
+
+
+class TestRowSeed:
+    """Seeded case (c) roots match cold ones; the seed saves model calls."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(row=rows(), spec=MODEL_SPECS)
+    def test_seeded_row_matches_cold_cells(self, row, spec):
+        eta, g, e_lim, sweep = row
+        model = parse_model(spec)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            argv = ["region-map", "--eta", repr(eta), "--g", repr(g), "--ed-model", spec,
+                    "--sweep", f"e_lim:{e_lim!r}:{e_lim!r}:1", "--sweep", sweep]
+            assert cli.main(argv) == 0
+        labels = [line.split(",")[2] for line in out.getvalue().splitlines()[4:]]
+        e_avgs = cli._parse_sweeps([sweep])["e_avg"]
+        assert len(labels) == len(e_avgs)
+        seed = single_block.RowSeed()
+        for e_avg, label in zip(e_avgs, labels):
+            if not e_avg < e_lim or eta * e_avg < g:
+                assert label == "invalid"
+                seed.reset()
+                continue
+            p = SystemParams(eta=eta, g=g, e_avg=e_avg, e_lim=e_lim)
+            cold = _outcome(solve_case_c, p, model)
+            seeded = _outcome(solve_case_c, p, model, seed=seed)
+            assert _same_candidate(seeded, cold, p), (p, seeded, cold)
+            assert label == cli._case_margins(p, model, None)[0]
+
+    def test_seeded_row_makes_fewer_model_calls(self):
+        # A 40-cell row.  Cold, each cell finds theta' (about 8.7 evaluate
+        # calls) and brackets h on [1, theta' - gap] (about 11 evaluate_pair
+        # calls); every cell also takes E twice for its e_i and objective.
+        # Seeded, all but the first two cells bracket h around the
+        # extrapolated root (about 6.9 evaluate_pair calls) and skip theta'.
+        calls = {"evaluate": 0, "evaluate_pair": 0}
+
+        def counted(name, fn):
+            def call(theta):
+                calls[name] += 1
+                return fn(theta)
+
+            return call
+
+        model = DecoderEnergyModel(
+            MODEL.name,
+            counted("evaluate", MODEL.evaluate),
+            counted("evaluate_pair", MODEL.evaluate_pair),
+        )
+        counts = {}
+        for seeded, seed in ((False, None), (True, single_block.RowSeed())):
+            calls.update(evaluate=0, evaluate_pair=0)
+            for i in range(40):
+                p = SystemParams(eta=0.5, g=0.0, e_avg=0.1 + 0.07 * i, e_lim=3.0)
+                assert solve_case_c(p, model, seed=seed) is not None
+            counts[seeded] = dict(calls)
+        assert counts[False] == {"evaluate": 427, "evaluate_pair": 446}  # 21.8 per cell
+        assert counts[True] == {"evaluate": 96, "evaluate_pair": 283}  # 9.5 per cell
+        assert sum(counts[True].values()) < sum(counts[False].values())
+
+    def test_prediction_past_theta_prime_falls_back_to_the_cold_bracket(self, monkeypatch):
+        # A steep power law: theta_c flattens along the row, so the third
+        # cell's linear prediction overshoots theta', where h is -inf.  That
+        # cell finds theta' and brackets [1, theta' - gap] as a cold solve does.
+        found = []
+        monkeypatch.setattr(
+            single_block,
+            "inverse_energy",
+            lambda m, target: found.append(target) or inverse_energy(m, target),
+        )
+        model, seed = power_law_model(2.3, 6.0), single_block.RowSeed()
+        cells = []
+        for i in range(8):
+            p = SystemParams(eta=1.0, g=6.0, e_avg=8.0 + 76.0 * i / 7, e_lim=90.0)
+            cells.append((solve_case_c(p, model, seed=seed), p))
+        assert len(found) == 3  # two cold cells, then one fallback
+        seeded, p = cells[2]
+        assert seeded == solve_case_c(p, model)
+        for seeded, p in cells:
+            assert _same_candidate(seeded, solve_case_c(p, model), p)
+
+    def test_bracket_reaching_past_theta_prime_falls_back(self, monkeypatch):
+        # A prediction between the root and theta' whose first bracket ends
+        # past theta', where h is -inf: the cell takes the cold bracket.
+        p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
+        cold = solve_case_c(p, MODEL)
+        theta_prime = inverse_energy(MODEL, p.budget / (p.e_lim - p.e_avg) * p.e_lim)
+        pred, width = (cold.theta + theta_prime) / 2, 0.75 * (theta_prime - cold.theta)
+        seed = single_block.RowSeed()
+        seed._record(p.e_avg - 2.0, pred - 64.0 * width)  # a move of 32 half-widths
+        seed._record(p.e_avg - 1.0, pred - 32.0 * width)
+        found = []
+        monkeypatch.setattr(
+            single_block,
+            "inverse_energy",
+            lambda m, target: found.append(target) or inverse_energy(m, target),
+        )
+        assert solve_case_c(p, MODEL, seed=seed) == cold
+        assert len(found) == 1
+
+
+class TestNearTheFloatRange:
+    """Typed errors and recovery where a link's energies near the float range.
+
+    Each solve runs cold and as the last cell of a seeded row, which skips
+    theta': both give the same result or the same typed error.
+    """
+
+    def _row_outcomes(self, p, model):
+        seed, out = single_block.RowSeed(), []
+        for share in (0.5, 0.9, 1.0):
+            cell = SystemParams(eta=p.eta, g=p.g, e_avg=p.e_avg * share, e_lim=p.e_lim)
+            cold = _outcome(algorithm1, cell, model)
+            seeded = _outcome(algorithm1, cell, model, seed=seed)
+            if isinstance(cold[0], CandidateSolution):
+                assert _same_candidate(seeded[0], cold[0], cell)
+            else:
+                assert seeded == cold
+            out.append(cold)
+        return out[-1]
+
+    def test_infinite_theta_prime_target_is_a_typed_error(self):
+        with pytest.raises(SolverError, match="theta-log-theta cannot reach target energy inf"):
+            inverse_energy(MODEL, math.inf)
+        p = SystemParams(
+            eta=0.2856720044622783,
+            g=1.906659265617676e296,
+            e_avg=2.732667287862111e298,
+            e_lim=2.732667287877896e298,
+        )
+        with pytest.raises(SolverError, match="target energy inf"):
+            solve_case_c(p, MODEL)
+        kind, message = self._row_outcomes(p, MODEL)
+        assert kind is SolverError and "target energy inf" in message
+
+    def test_overflowing_harvest_energy_is_a_typed_error(self):
+        # The case (b) winner's g*e_i is about 1e369.
+        p = SystemParams(
+            eta=0.0005842667907369718,
+            g=3.6139634370120496e182,
+            e_avg=2.810964004719203e186,
+            e_lim=2.8109640047192032e186,
+        )
+        model = power_law_model(1.71384e-134, 2.0)
+        with pytest.raises(SolverError, match="recovered e_e"):
+            algorithm1(p, model)
+        kind, message = self._row_outcomes(p, model)
+        assert kind is SolverError and "recovered e_e" in message
+
+    @pytest.mark.parametrize(
+        "eta, e_lim, e_avg",
+        [
+            (1.0, 0.05, 0.0499999999999983),
+            (1.0, 0.05, 0.049999999999996804),
+            (0.5, 0.1, 0.09999999999999751),
+            (0.1, 0.05, 0.049999999999996804),
+            (0.01, 0.05, 0.049999999999998004),
+            (0.01, 0.1, 0.0999999999999967),
+        ],
+    )
+    def test_tiny_valid_split_is_recovered(self, eta, e_lim, e_avg):
+        # e_avg a few 1e-16 below e_lim and E about 1e-82: alpha is about
+        # 1e-13, so alpha*(eta*e_i + E) falls below an absolute 1e-14.
+        p = SystemParams(eta=eta, g=0.0, e_avg=e_avg, e_lim=e_lim)
+        model = power_law_model(1.6e-162, 1.0)
+        cand, full = self._row_outcomes(p, model)
+        assert 0.0 < full.alpha <= 1.0 and full.e_e <= e_lim
+        assert full.bits_per_use == pytest.approx(cand.objective, rel=1e-12)
+        base = constant_power_baseline(p, model).bits_per_use
+        assert full.bits_per_use >= base - 1e-12 * base
+
+    def test_split_outside_the_unit_interval_is_still_refused(self):
+        with pytest.raises(InfeasibleRecoveryError):
+            recover_full(1.0 + 1e-9, 0.5, P_REF, MODEL)
+        # alpha a rounding error from 0: eta*e_i + E equals the budget.
+        p = SystemParams(eta=1.0, g=0.0, e_avg=1.0, e_lim=3.0)
+        with pytest.raises(InfeasibleRecoveryError):
+            recover_full(1.0, 1.0, p, MODEL)
