@@ -187,7 +187,7 @@ def cmd_sweep_single(args) -> int:
     def row(e_avg: float):
         p = _params(args, e_avg=e_avg)
         _, full = single_block.algorithm1(p, model, seed=seed)
-        baseline = single_block.constant_power_baseline(p, model)
+        baseline = single_block.constant_power_baseline(p, model, seed=seed)
         ratio = (
             full.bits_per_use / baseline.bits_per_use
             if baseline.bits_per_use > 0

@@ -15,9 +15,15 @@ infeasible points and ranks the rest; `algorithm1` returns the best one
 together with the recovered full solution.
 
 A row of solves that differ only in e_avg (a region-map row, a sweep) can
-share a `RowSeed`: each cell's case (c) root is then bracketed around a
-prediction from the previous cells (natural-parameter continuation), and
-matches the unseeded root to brentq's tolerance rather than bit for bit.
+share a `RowSeed`: each cell's case (c) root, and the theta* of its
+`constant_power_baseline`, is then bracketed around a prediction from the
+previous cells (natural-parameter continuation), and matches the unseeded
+root to brentq's tolerance rather than bit for bit.  A seeded case (c)
+cell evaluates h(1) only when its bracket reaches theta = 1 or falls back,
+or when rounding may hide its sign (`solve_case_c`).
+The case (a)/(b) pairs depend on (eta, e_lim, model) only; their memo entry
+carries E(theta) and C(e), so every cell with that key scores them by
+arithmetic alone, with the same floats `feasible` and `objective` give.
 Without a seed every solve is cold and reproducible on its own.
 """
 
@@ -60,6 +66,9 @@ _MAX_ALTERNATIONS = 500
 _N_STARTS = 16
 # brentq's tolerances for case (c)'s root.
 _XTOL, _RTOL = 1e-12, 8.9e-16
+# capacity(e) > 0 for every e >= this: C(e), about 0.92*e here, is formed as
+# 1 - (1 - 0.92*e), which rounds to 0 only below about 2e-16.
+_E_C_POSITIVE = 1e-12
 # Distinct (eta, e_lim, model) keys kept by the case (a)/(b) memo: a 40-row
 # region map (one e_lim per row) fits with room to spare.
 _AB_CACHE_SIZE = 64
@@ -149,22 +158,34 @@ def objective(
     on eta and the model only.  Returns 0 for the degenerate 0/0 point
     theta = 1, e_i = 0.
     """
-    denom = p.eta * e_i + m.evaluate(theta)
+    return _objective(theta, e_i, m.evaluate(theta), p, budget)
+
+
+def _objective(
+    theta: float, e_i: float, energy: float, p: SystemParams, budget=None, c_e=None
+) -> float:
+    """`objective` with energy = E(theta) given, and C(e_i) if c_e is given."""
+    denom = p.eta * e_i + energy
     if denom <= 0.0:
         return 0.0
     if budget is None:
         budget = p.budget
-    return (theta - 1.0) / theta * budget * capacity(e_i) / denom
+    return (theta - 1.0) / theta * budget * (capacity(e_i) if c_e is None else c_e) / denom
 
 
 def feasible(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) -> bool:
     """Check the reduced problem's constraints within FEAS_TOL."""
+    return _feasible(theta, e_i, m.evaluate(max(theta, 1.0)), p)
+
+
+def _feasible(theta: float, e_i: float, energy: float, p: SystemParams) -> bool:
+    """`feasible` with energy = E(max(theta, 1)) given."""
     if not (-FEAS_TOL <= e_i <= p.e_lim + FEAS_TOL):
         return False
     if theta < 1.0 - FEAS_TOL:
         return False
     span = p.e_lim - p.e_avg
-    lhs = m.evaluate(max(theta, 1.0)) + (p.eta * p.e_lim - p.g) / span * max(e_i, 0.0)
+    lhs = energy + (p.eta * p.e_lim - p.g) / span * max(e_i, 0.0)
     rhs = p.budget / span * p.e_lim
     # The sides grow like 1/span, to 1e9 as e_avg nears e_lim: scale the tolerance.
     return lhs >= rhs - FEAS_TOL * max(1.0, rhs)
@@ -269,7 +290,7 @@ def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, f
     span is skipped, and a running start stops with no pair once it enters
     one.  Starts that fail or do not converge are discarded and cover no span.
     """
-    return list(_case_ab_pairs(p.eta, p.e_lim, m))
+    return [(theta, e, case) for theta, e, case, _, _ in _case_ab_pairs(p.eta, p.e_lim, m)]
 
 
 def _start_energies(e_lim: float) -> list[float]:
@@ -286,10 +307,12 @@ def _start_energies(e_lim: float) -> list[float]:
 
 # typed=True keeps e.g. e_lim=3 and e_lim=3.0 apart, so the case (b) pair
 # carries the caller's own e_lim value, exactly as an uncached solve would.
+# Each entry is (theta, e, case, E(theta), C(e)): every cell of a row scores
+# the key's pairs from these, and theta >= 1 makes E(theta) feasible's E too.
 @functools.lru_cache(maxsize=_AB_CACHE_SIZE, typed=True)
 def _case_ab_pairs(
     eta: float, e_lim: float, m: DecoderEnergyModel
-) -> tuple[tuple[float, float, Case], ...]:
+) -> tuple[tuple[float, float, Case, float, float], ...]:
     # The root finders read only eta and e_lim from p.
     p = SystemParams(eta=eta, g=0.0, e_avg=0.0, e_lim=e_lim)
     pairs: list[tuple[float, float]] = []
@@ -321,43 +344,54 @@ def _case_ab_pairs(
             pairs.append((theta, e))
     out = [(t, e, Case.TRADE_OFF) for t, e in pairs]
     out.append((_theta_star(p.e_lim, p, m), p.e_lim, Case.MAX_INFO_POWER))
-    return tuple(out)
+    return tuple(_memo_entry(t, e, case, m) for t, e, case in out)
+
+
+def _memo_entry(theta: float, e: float, case: Case, m: DecoderEnergyModel):
+    """A memo entry (theta, e, case, E(theta), C(e)): one model call per pair."""
+    return theta, e, case, m.evaluate(theta), capacity(e)
 
 
 class RowSeed:
-    """The case (c) roots of the last cells of one row, for `solve_case_c`.
+    """What one row of solves reuses from its earlier cells.
 
     A row is a run of solves that differ only in e_avg (a region-map row, a
     single-block sweep).  Pass one seed to every cell of the row, in row
-    order; `solve_case_c` reads the last two (e_avg, theta_c) pairs and
-    records each new one.  `reset` forgets them, as after a cell that has
-    no case (c) root.
+    order.  It holds the last two (e_avg, root) pairs of two roots: case
+    (c)'s theta_c, which `solve_case_c` reads and records, and the theta*
+    of `constant_power_baseline` (M(theta; e_avg) = 0).  The row's case
+    (a)/(b) pairs need no place here: their memo entry carries E and C, so
+    a cell scores them with no model call.  `reset` forgets both roots, as
+    after a cell with zero budget or no case (c) root.
     """
 
     __slots__ = ("_cells",)
 
     def __init__(self):
-        self._cells: tuple[tuple[float, float], ...] = ()
+        self.reset()
 
     def reset(self) -> None:
-        self._cells = ()
+        self._cells = [(), ()]  # theta_c's cells, then the baseline's theta*
 
-    def _record(self, e_avg: float, theta: float) -> None:
-        self._cells = (*self._cells[-1:], (e_avg, theta))
+    def _record(self, e_avg: float, theta: float, baseline: bool = False) -> None:
+        self._cells[baseline] = (*self._cells[baseline][-1:], (e_avg, theta))
 
-    def _bracket_root(self, e_avg: float, h, h_one: float) -> float | None:
-        """h's root from a bracket around the extrapolated theta_c, or None.
+    def _bracket_root(self, e_avg: float, f, f_one, baseline: bool = False) -> float | None:
+        """The root of a non-increasing f from a bracket around the extrapolated one.
 
-        theta_c is predicted linearly in e_avg from the last two cells, with
-        a half-width of 1/32 of the last move in theta_c; the half-width
-        doubles until h changes sign, finite at both ends.  The low end
-        clamps at 1, where h(1) = h_one > 0.  None (fall back to the cold
-        bracket) with fewer than two cells, a prediction outside (1, inf),
-        or an h that is not finite: past theta', where e_i = 0.
+        The root is predicted linearly in e_avg from the last two cells of
+        theta_c (of theta* with `baseline`), with a half-width of 1/32 of
+        the last move; the half-width doubles until f changes sign, finite
+        at both ends.  The low end clamps at 1, and f_one() gives f(1) only
+        when it does.  None (fall back to the cold bracket) with fewer than
+        two cells, a prediction outside (1, inf), an f that is not finite
+        (past theta' for case (c)), or a low end clamped at 1 where f(1) is
+        not positive: the cold bracket decides those.
         """
-        if len(self._cells) < 2:
+        cells = self._cells[baseline]
+        if len(cells) < 2:
             return None
-        (e0, t0), (e1, t1) = self._cells
+        (e0, t0), (e1, t1) = cells
         move = t1 - t0
         pred = t1 if e1 == e0 else t1 + move / (e1 - e0) * (e_avg - e1)
         if not 1.0 < pred < math.inf:
@@ -365,24 +399,24 @@ class RowSeed:
         # Floored at brentq's own tolerance, so a zero move still widens.
         width = max(abs(move) / 32.0, _XTOL + _RTOL * pred)
         lo, hi = max(1.0, pred - width), pred + width
-        h_lo = h(lo) if lo > 1.0 else h_one
-        if not math.isfinite(h_lo):
+        f_lo = f(lo) if lo > 1.0 else f_one()
+        if not math.isfinite(f_lo):
             return None
-        if h_lo > 0.0:
-            h_hi = h(hi)
-            while h_hi > 0.0:  # the root is above hi: hi becomes lo
+        if f_lo > 0.0:
+            f_hi = f(hi)
+            while f_hi > 0.0:  # the root is above hi: hi becomes lo
                 width *= 2.0
-                lo, h_lo, hi = hi, h_hi, pred + width
-                h_hi = h(hi)
+                lo, f_lo, hi = hi, f_hi, pred + width
+                f_hi = f(hi)
         else:
-            hi, h_hi = lo, h_lo
-            while h_lo < 0.0:  # the root is below lo: lo becomes hi
+            hi, f_hi = lo, f_lo
+            while f_lo < 0.0 and lo > 1.0:  # the root is below lo: lo becomes hi
                 width *= 2.0
-                hi, h_hi, lo = lo, h_lo, max(1.0, pred - width)
-                h_lo = h(lo) if lo > 1.0 else h_one
-        if not (math.isfinite(h_lo) and math.isfinite(h_hi)):
+                hi, f_hi, lo = lo, f_lo, max(1.0, pred - width)
+                f_lo = f(lo) if lo > 1.0 else f_one()
+        if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or (lo == 1.0 and not f_lo > 0.0):
             return None
-        return brentq(h, lo, hi, h_lo, h_hi, xtol=_XTOL, rtol=_RTOL, maxiter=2000)
+        return brentq(f, lo, hi, f_lo, f_hi, xtol=_XTOL, rtol=_RTOL, maxiter=2000)
 
 
 def solve_case_c(
@@ -401,8 +435,12 @@ def solve_case_c(
     `inverse_energy`.  With a `RowSeed` the bracket comes from the row's
     previous cells (`RowSeed._bracket_root`), and theta' is found only when
     that bracket falls back; the root then matches the cold one to brentq's
-    tolerance (about 1e-12 relative), not bit for bit.  As e_avg nears e_lim
-    h's terms cancel to a rounding band of relative width about
+    tolerance (about 1e-12 relative), not bit for bit.  A seeded root
+    skips h(1), which h > 0 above 1 implies, except where its bracket
+    reaches theta = 1 or rounding could make h(1) <= 0 (top rounds to
+    e_lim, or e_i < _E_C_POSITIVE, where C may round to 0); so it returns
+    None exactly where the cold path does.  As e_avg nears e_lim h's terms
+    cancel to a rounding band of relative width about
     eps*e_lim/(e_lim - e_avg), and the two roots may differ by that much;
     neither is the closer to the optimum.  The seed records each root
     found, and is reset when this returns None.
@@ -431,25 +469,31 @@ def solve_case_c(
         # q * gap can overflow against a zero C' (inf * 0): h/q has h's sign and root.
         return value if value == value else gap * c / q + gap * c_prime + c * e_prime
 
-    h_one = h(1.0)
-    if h_one <= 0.0:
-        if seed is not None:
-            seed.reset()
-        return None
     # theta' solves E(theta') = target; a target past the floats is the cold
     # path's typed error, so the seeded path does not step around it.
     target = p.budget / (p.e_lim - p.e_avg) * p.e_lim
-    theta = None
+    theta = h_one = None
     if seed is not None and target < math.inf:
-        theta = seed._bracket_root(p.e_avg, h, h_one)
+        theta = seed._bracket_root(p.e_avg, h, lambda: h(1.0))
     if theta is None:
-        theta = _cold_root(h, h_one, inverse_energy(m, target))
+        h_one = h(1.0)
+        if not h_one <= 0.0:
+            theta = _cold_root(h, h_one, inverse_energy(m, target))
+    if theta is not None:
+        energy = m.evaluate(theta)
+        e_i = max(0.0, top - k * energy)
+        # h(1) = (e_lim - e(1)) * C(e(1)) with e_i <= e(1) <= top, as E is
+        # non-decreasing from E(1) >= 0.  So top < e_lim and e_i >=
+        # _E_C_POSITIVE show h(1) > 0; otherwise a seeded root takes h(1).
+        if h_one is not None or (top < e_lim and e_i >= _E_C_POSITIVE) or not h(1.0) <= 0.0:
+            if seed is not None:
+                seed._record(p.e_avg, theta)
+            return CandidateSolution(
+                theta, e_i, Case.MAX_HARVEST_POWER, _objective(theta, e_i, energy, p)
+            )
     if seed is not None:
-        seed._record(p.e_avg, theta)
-    e_i = max(0.0, top - k * m.evaluate(theta))
-    return CandidateSolution(
-        theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m)
-    )
+        seed.reset()
+    return None
 
 
 def _cold_root(h, h_one: float, theta_prime: float) -> float:
@@ -506,10 +550,11 @@ def _full_solution(
 
     The receiving share 1 - alpha = budget/(eta*e_i + E) is formed once and
     gives the bits, so a share too small to move alpha off 1 still counts.
+    A share that rounds past 1 (e_avg within ulps of e_lim) gives alpha = 0.
     """
     share = p.budget / (p.eta * e_i + energy)
     rate = (theta - 1.0) / theta * capacity(e_i)
-    return FullSolution(1.0 - share, rate, e_e, e_i, theta, share * rate)
+    return FullSolution(max(0.0, 1.0 - share), rate, e_e, e_i, theta, share * rate)
 
 
 def _zero_solution(p: SystemParams) -> tuple[CandidateSolution, FullSolution]:
@@ -523,15 +568,16 @@ def ranked_candidates(
 ) -> list[CandidateSolution]:
     """Feasible case (a)/(b)/(c) candidates, best objective first.
 
-    Feasibility is checked before an objective is computed.  The sort is
-    stable, so ties keep the a, b, c enumeration order and the first entry
-    is the first maximizer in that order.  A row's `seed` goes to
-    `solve_case_c`.
+    Feasibility is checked before an objective is computed; case (a)/(b)
+    pairs are scored from the E and C in their memo entry, with the same
+    floats `feasible` and `objective` give.  The sort is stable, so ties
+    keep the a, b, c enumeration order and the first entry is the first
+    maximizer in that order.  A row's `seed` goes to `solve_case_c`.
     """
     candidates = [
-        CandidateSolution(t, e, c, objective(t, e, p, m))
-        for t, e, c in case_ab_pairs(p, m)
-        if feasible(t, e, p, m)
+        CandidateSolution(t, e, case, _objective(t, e, energy, p, c_e=c_e))
+        for t, e, case, energy, c_e in _case_ab_pairs(p.eta, p.e_lim, m)
+        if _feasible(t, e, energy, p)
     ]
     cand_c = solve_case_c(p, m, seed=seed)
     if cand_c is not None and feasible(cand_c.theta, cand_c.e_i, p, m):
@@ -561,15 +607,30 @@ def algorithm1(
 
 
 def constant_power_baseline(
-    p: SystemParams, m: DecoderEnergyModel
+    p: SystemParams, m: DecoderEnergyModel, *, seed: RowSeed | None = None
 ) -> FullSolution:
     """No-power-optimization comparator: e_e = e_i = e_avg, theta optimized.
 
     With e_e = e_i = e_avg, alpha = 1 - budget/(eta*e_avg + E(theta)) lies in
     [0, 1] for any theta, so no recovery check applies; `recover_full`'s
     check would refuse a valid tiny e_avg, where E(theta) + g is near 0.
+    theta = max(theta*, theta0) as in `solve_lemma3`.  With a row's `seed`,
+    theta* (the root of M, non-increasing with M(1) = eta*e_avg + E(1) > 0) is
+    bracketed around the row's extrapolated theta* (`RowSeed._bracket_root`)
+    and matches the cold root to brentq's tolerance; the seed is reset at
+    zero budget or zero e_avg.
     """
     if p.budget <= 0.0 or p.e_avg == 0.0:
+        if seed is not None:
+            seed.reset()
         return _zero_solution(p)[1]
-    theta = solve_lemma3(p.e_avg, p, m)
+    theta_star = None
+    if seed is not None:
+        f = _m_of_theta(p.e_avg, p, m)
+        theta_star = seed._bracket_root(p.e_avg, f, lambda: f(1.0), baseline=True)
+    if theta_star is None:
+        theta_star = _theta_star(p.e_avg, p, m)
+    if seed is not None:
+        seed._record(p.e_avg, theta_star, baseline=True)
+    theta = max(theta_star, _theta0(p.e_avg, p, m))
     return _full_solution(theta, p.e_avg, p.e_avg, m.evaluate(theta), p)

@@ -29,7 +29,7 @@ from ehlink import (
     theta_log_theta_model,
 )
 from ehlink.cli import main
-from ehlink.decoder_energy import DecoderEnergyModel
+from ehlink.decoder_energy import DecoderEnergyModel, parse_model
 from ehlink.multi_block import MultiBlockProblem
 from ehlink.single_block import _case_ab_pairs
 
@@ -159,6 +159,22 @@ class TestSolveSingle:
     def test_e_avg_a_hair_below_e_lim_is_not_below_the_baseline(self, capsys, name):
         _, bits, p, model = self._hair(capsys, name)
         assert bits >= single_block.constant_power_baseline(p, model).bits_per_use
+
+    def test_alpha_stays_in_the_unit_interval_when_the_share_rounds_past_one(self, capsys):
+        # e_avg ulps below e_lim: the case (c) winner's receiving share
+        # budget/(eta*e_i + E) rounds to 1 + ulp, and 1 - share to -2.2e-16.
+        argv = ("--eta", "0.1", "--g", "0", "--e-lim", "0.1", "--e-avg", "0.099999999999999",
+                "--ed-model", "power-law:c=1.6e-162,p=1")
+        code, out, err = run_cli(capsys, "solve-single", *argv)
+        assert (code, err) == (0, "")
+        _, fields = single_row(out)
+        assert (fields["case"], fields["alpha"]) == ("c", "0")
+        p = SystemParams(eta=0.1, g=0.0, e_avg=0.099999999999999, e_lim=0.1)
+        model = parse_model(argv[-1])
+        _, full = algorithm1(p, model)
+        share = p.budget / (p.eta * full.e_i + model.evaluate(full.theta))
+        assert share > 1.0 and full.alpha == 0.0
+        assert full.bits_per_use == share * full.rate
 
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "single.csv"

@@ -4,9 +4,12 @@ The benchmark compares its seed-1 runs against `benchmarks/reference/`, with
 exact meta lines and CSV numbers to a relative 1e-9. This runs the first
 cycle of each workload through `cli.main` under that same check, and every
 stored figure-maps invocation (144, about 1 s), so a drift in a printed
-digit fails here before a benchmark run sees it. All of certify and
-multi-plan would take about 27 s and 37 s more. The test only reads
-`benchmarks/`.
+digit fails here before a benchmark run sees it. All 616 stored invocations
+replay on request (about 45 s on 2 cores):
+
+    python -m pytest -m replay_all tests/test_reference_replay.py
+
+The test only reads `benchmarks/`.
 """
 
 import gzip
@@ -56,7 +59,17 @@ def test_first_cycle_matches_reference(capsys, workload):
     _replay(capsys, cycle, _stored(workload)[: len(cycle)])
 
 
-def test_every_figure_maps_invocation_matches_reference(capsys):
-    stored = _stored("figure-maps")
-    cycles = workloads.cycles("figure-maps", workloads.DEFAULT_SEED)
+def _replay_every(capsys, workload):
+    stored = _stored(workload)
+    cycles = workloads.cycles(workload, workloads.DEFAULT_SEED)
     _replay(capsys, itertools.islice(itertools.chain.from_iterable(cycles), len(stored)), stored)
+
+
+def test_every_figure_maps_invocation_matches_reference(capsys):
+    _replay_every(capsys, "figure-maps")
+
+
+@pytest.mark.replay_all
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_stored_invocation_matches_reference(capsys, workload):
+    _replay_every(capsys, workload)

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -435,6 +436,21 @@ class TestRankedCandidates:
         if p.budget > 0.0:
             assert ranked[0] == algorithm1(p, model)[0]
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=FAMILIES)
+    def test_ab_candidates_match_feasible_and_objective_bit_for_bit(self, p, model):
+        # ranked_candidates scores each pair from the E and C in its memo
+        # entry; with case (c) left out, that is exactly the feasible-filtered
+        # list `feasible` and `objective` give, in the same stable order.
+        expected = [
+            CandidateSolution(t, e, c, objective(t, e, p, model))
+            for t, e, c in case_ab_pairs(p, model)
+            if feasible(t, e, p, model)
+        ]
+        with mock.patch.object(single_block, "solve_case_c", lambda p, m, seed: None):
+            ranked = ranked_candidates(p, model)
+        assert ranked == sorted(expected, key=lambda c: c.objective, reverse=True)
+
     def test_ties_keep_enumeration_order(self):
         # At zero budget every candidate scores 0, so the ranking is the
         # enumeration order itself: case (a) pairs first, then case (b).
@@ -493,14 +509,20 @@ class TestCaseAbStarts:
     """Starts inside an already-resolved span are skipped; nothing else moves."""
 
     def test_pairs_match_golden_bit_for_bit(self):
+        # Each memo entry also carries E(theta) and C(e), exactly as
+        # `m.evaluate` and `capacity` give them.
         mismatched = []
         for key in GOLDEN["keys"]:
             expected = tuple(
                 (float.fromhex(t), float.fromhex(e), Case(c)) for t, e, c in key["pairs"]
             )
-            got = _case_ab_pairs(key["eta"], key["e_lim"], _golden_model(key["model"]))
-            if got != expected:
+            model = _golden_model(key["model"])
+            entry = _case_ab_pairs(key["eta"], key["e_lim"], model)
+            if tuple(pair[:3] for pair in entry) != expected:
                 mismatched.append(key)
+            for t, e, _, energy, c_e in entry:
+                assert energy.hex() == model.evaluate(t).hex()
+                assert c_e.hex() == capacity(e).hex()
         assert not mismatched
         # The corpus includes case (a) pairs outside the box (e > e_lim).
         assert any(
@@ -739,25 +761,49 @@ def _outcome(solve, *args, **kwargs):
 
 
 def _same_candidate(seeded, cold, p):
-    """Seeded and cold case (c) outcomes: both None, the same error, or one root.
-
-    Each root is within brentq's stop rule, 2*(xtol + rtol*theta), of a sign
-    change of the computed h.  As e_avg nears e_lim, h's terms cancel to a
-    rounding band of relative width eps*e_lim/(e_lim - e_avg), in which
-    neither root is closer to the optimum than the other.  So the thetas
-    agree to 1e-12 relative or that band, and the objectives to 1e-12
-    relative or the band over theta - 1 (a first-order change in the
-    objective's (theta - 1)/theta factor).
-    """
+    """Seeded and cold case (c) outcomes: both None, the same error, or one root."""
     if not isinstance(cold, CandidateSolution):
         return seeded == cold
     if not isinstance(seeded, CandidateSolution):
         return False
-    theta = cold.theta
+    return _same_root(seeded.theta, seeded.objective, cold.theta, cold.objective, p)
+
+
+def _same_root(seeded_theta, seeded_value, theta, value, p):
+    """A seeded root and its objective value against the cold ones.
+
+    Each root is within brentq's stop rule, 2*(xtol + rtol*theta), of a sign
+    change of the computed function.  As e_avg nears e_lim, case (c)'s h
+    cancels to a rounding band of relative width eps*e_lim/(e_lim - e_avg),
+    in which neither root is closer to the optimum than the other.  So the
+    thetas agree to 1e-12 relative or that band, and the values to 1e-12
+    relative or the band over theta - 1 (a first-order change in the
+    objective's (theta - 1)/theta factor).
+    """
     band = 2.0 * (1e-12 + 8.9e-16 * theta) + theta * EPS * p.e_lim / (p.e_lim - p.e_avg)
-    return abs(seeded.theta - theta) <= max(1e-12 * theta, band) and abs(
-        seeded.objective - cold.objective
-    ) <= cold.objective * max(1e-12, band / (theta - 1.0))
+    return abs(seeded_theta - theta) <= max(1e-12 * theta, band) and abs(
+        seeded_value - value
+    ) <= value * max(1e-12, band / (theta - 1.0))
+
+
+def _counted_model():
+    """theta log theta with its calls counted, and among them those at theta = 1."""
+    calls = {"evaluate": 0, "evaluate_pair": 0, "at_one": 0}
+
+    def counted(name, fn):
+        def call(theta):
+            calls[name] += 1
+            calls["at_one"] += theta == 1.0
+            return fn(theta)
+
+        return call
+
+    model = DecoderEnergyModel(
+        MODEL.name,
+        counted("evaluate", MODEL.evaluate),
+        counted("evaluate_pair", MODEL.evaluate_pair),
+    )
+    return calls, model
 
 
 MODEL_SPECS = st.one_of(
@@ -814,36 +860,137 @@ class TestRowSeed:
             assert _same_candidate(seeded, cold, p), (p, seeded, cold)
             assert label == cli._case_margins(p, model, None)[0]
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(row=rows(), spec=MODEL_SPECS)
+    def test_seeded_baseline_matches_cold_cells(self, row, spec):
+        eta, g, e_lim, sweep = row
+        model, seed = parse_model(spec), single_block.RowSeed()
+        for e_avg in cli._parse_sweeps([sweep])["e_avg"]:
+            if not e_avg < e_lim or eta * e_avg < g:
+                seed.reset()
+                continue
+            p = SystemParams(eta=eta, g=g, e_avg=e_avg, e_lim=e_lim)
+            cold = _outcome(constant_power_baseline, p, model)
+            seeded = _outcome(constant_power_baseline, p, model, seed=seed)
+            if isinstance(cold, tuple) or cold.bits_per_use == 0.0:
+                assert seeded == cold
+            else:
+                assert _same_root(seeded.theta, seeded.bits_per_use, cold.theta, cold.bits_per_use, p)
+
     def test_seeded_row_makes_fewer_model_calls(self):
         # A 40-cell row.  Cold, each cell finds theta' (about 8.7 evaluate
         # calls) and brackets h on [1, theta' - gap] (about 11 evaluate_pair
-        # calls); every cell also takes E twice for its e_i and objective.
-        # Seeded, all but the first two cells bracket h around the
-        # extrapolated root (about 6.9 evaluate_pair calls) and skip theta'.
-        calls = {"evaluate": 0, "evaluate_pair": 0}
-
-        def counted(name, fn):
-            def call(theta):
-                calls[name] += 1
-                return fn(theta)
-
-            return call
-
-        model = DecoderEnergyModel(
-            MODEL.name,
-            counted("evaluate", MODEL.evaluate),
-            counted("evaluate_pair", MODEL.evaluate_pair),
-        )
+        # calls, h(1) among them); every cell also takes E once for its e_i
+        # and objective.  Seeded, all but the first two cells bracket h
+        # around the extrapolated root (about 5.9 evaluate_pair calls), with
+        # no h(1) and no theta'.
+        calls, model = _counted_model()
         counts = {}
         for seeded, seed in ((False, None), (True, single_block.RowSeed())):
-            calls.update(evaluate=0, evaluate_pair=0)
+            calls.update(evaluate=0, evaluate_pair=0, at_one=0)
             for i in range(40):
                 p = SystemParams(eta=0.5, g=0.0, e_avg=0.1 + 0.07 * i, e_lim=3.0)
                 assert solve_case_c(p, model, seed=seed) is not None
             counts[seeded] = dict(calls)
-        assert counts[False] == {"evaluate": 427, "evaluate_pair": 446}  # 21.8 per cell
-        assert counts[True] == {"evaluate": 96, "evaluate_pair": 283}  # 9.5 per cell
+        assert counts[False] == {"evaluate": 387, "evaluate_pair": 446, "at_one": 80}
+        assert counts[True] == {"evaluate": 56, "evaluate_pair": 245, "at_one": 4}
         assert sum(counts[True].values()) < sum(counts[False].values())
+
+    def test_seeded_baseline_makes_fewer_model_calls(self):
+        # The baselines of a 49-point sweep-single row.  Cold, each point
+        # finds M(2) <= 0, takes M(1) and brackets M on [1, 2] (11 M values,
+        # each one evaluate_pair call); seeded, all but the first two points
+        # bracket M around the extrapolated theta* (5.5 M values), with no
+        # M(1).  theta0 is 1 (its target is -g = 0), so E is taken once per
+        # point, for the solution.
+        calls, model = _counted_model()
+        counts = {}
+        for seeded, seed in ((False, None), (True, single_block.RowSeed())):
+            calls.update(evaluate=0, evaluate_pair=0, at_one=0)
+            for i in range(49):
+                p = SystemParams(eta=0.5, g=0.0, e_avg=0.05 + 0.05 * i, e_lim=3.0)
+                assert constant_power_baseline(p, model, seed=seed).bits_per_use > 0.0
+            counts[seeded] = dict(calls)
+        assert counts[False] == {"evaluate": 49, "evaluate_pair": 539, "at_one": 49}
+        assert counts[True] == {"evaluate": 49, "evaluate_pair": 280, "at_one": 2}
+
+    def test_case_c_bracket_clamped_at_one_takes_h_of_one(self):
+        # A seed predicting theta_c = 1.1 with a half-width of 0.2: the
+        # bracket's low end clamps at 1, where h(1) is taken once.
+        p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
+        cold = solve_case_c(p, MODEL)
+        seed = single_block.RowSeed()
+        seed._record(p.e_avg - 2.0, 1.1 + 12.8)  # a move of 32 half-widths
+        seed._record(p.e_avg - 1.0, 1.1 + 6.4)
+        calls, model = _counted_model()
+        seeded = solve_case_c(p, model, seed=seed)
+        assert calls["at_one"] == 1
+        assert calls["evaluate"] == 1  # no theta': the seeded bracket held
+        assert _same_candidate(seeded, cold, p)
+
+    def test_baseline_bracket_widened_to_one_takes_m_of_one(self):
+        # A seed predicting theta* = 3 with a half-width of 1.25: M(1.75) < 0,
+        # and the first widening clamps the low end at 1, where M(1) is
+        # eta*e_avg.
+        p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
+        cold = constant_power_baseline(p, MODEL)
+        seed = single_block.RowSeed()
+        seed._record(p.e_avg - 2.0, 3.0 + 80.0, baseline=True)
+        seed._record(p.e_avg - 1.0, 3.0 + 40.0, baseline=True)
+        calls, model = _counted_model()
+        seeded = constant_power_baseline(p, model, seed=seed)
+        assert m_function(1.0, p.e_avg, p, MODEL) == p.eta * p.e_avg
+        assert calls["at_one"] == 1
+        assert _same_root(seeded.theta, seeded.bits_per_use, cold.theta, cold.bits_per_use, p)
+
+    @pytest.mark.parametrize(
+        "eta, e_lim, spec, e_avgs",
+        [
+            # e_avg an ulp below e_lim: top = budget/(eta*e_lim - g)*e_lim
+            # rounds to e_lim, so h(1) = (e_lim - top)*C(top) = 0.
+            (0.20753705008118967, 3.0, "theta-log-theta", [2.994, 2.997, 2.9999999999999996]),
+            # e(1) = top near 6e-18, where C(e) = 1 - H2(eps) rounds to 0.
+            (0.5, 0.1, "power-law:c=0.05,p=2", [2.1e-18, 4.2e-18, 6.3e-18]),
+        ],
+    )
+    def test_seeded_cell_whose_h_of_one_rounds_to_zero_has_no_root(self, eta, e_lim, spec, e_avgs):
+        # The last cell's seeded bracket finds h > 0 above 1 and a sign
+        # change, but h(1) rounds to 0, so the cold solve has no root.  The
+        # seeded one takes h(1) there too, returns None and resets.
+        model, seed = parse_model(spec), single_block.RowSeed()
+        outcomes = []
+        for e_avg in e_avgs:
+            p = SystemParams(eta=eta, g=0.0, e_avg=e_avg, e_lim=e_lim)
+            seeded, cold = solve_case_c(p, model, seed=seed), solve_case_c(p, model)
+            assert _same_candidate(seeded, cold, p)
+            outcomes.append(seeded is None)
+        assert outcomes == [False, False, True]
+        assert seed._cells == [(), ()]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(e=st.floats(single_block._E_C_POSITIVE, 1e3))
+    def test_capacity_is_positive_where_h_of_one_is_skipped(self, e):
+        # A seeded root with e_i >= _E_C_POSITIVE skips h(1) = gap*C(e(1)),
+        # e(1) >= e_i, on this premise.  C rounds to 0 up to about 2e-16.
+        assert capacity(e) > 0.0
+        assert capacity(single_block._E_C_POSITIVE) > 0.0
+
+    def test_zero_budget_cell_resets_both_roots(self):
+        # sweep-single's row (algorithm1, then the baseline, on one seed)
+        # with a zero-budget cell, g = eta*e_avg, in mid-row.  Both roots
+        # forget their cells there, so the next two cells solve cold, bit
+        # for bit, as the first two do.
+        seed = single_block.RowSeed()
+        cells = [(0.4 + 0.1 * i, 0.0) for i in range(4)] + [(0.8, 0.4)]
+        cells += [(0.9 + 0.1 * i, 0.0) for i in range(4)]
+        for i, (e_avg, g) in enumerate(cells):
+            p = SystemParams(eta=0.5, g=g, e_avg=e_avg, e_lim=3.0)
+            seeded = algorithm1(p, MODEL, seed=seed), constant_power_baseline(p, MODEL, seed=seed)
+            cold = algorithm1(p, MODEL), constant_power_baseline(p, MODEL)
+            kept = 0 if i == 4 else min(2, i % 5 + 1)
+            assert [len(root_cells) for root_cells in seed._cells] == [kept, kept], i
+            if i in (0, 1, 4, 5, 6):
+                assert seeded == cold, i
 
     def test_prediction_past_theta_prime_falls_back_to_the_cold_bracket(self, monkeypatch):
         # A steep power law: theta_c flattens along the row, so the third
