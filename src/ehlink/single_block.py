@@ -24,6 +24,10 @@ or when rounding may hide its sign (`solve_case_c`).
 The case (a)/(b) pairs depend on (eta, e_lim, model) only; their memo entry
 carries E(theta) and C(e), so every cell with that key scores them by
 arithmetic alone, with the same floats `feasible` and `objective` give.
+A cold key alternates from its first start to a fixed point, then scans the
+case (a) residual above it and stops when it shows no second fixed point
+(`case_ab_pairs`).  The winner's full solution reuses the E(theta) its
+candidate was scored with, from the memo entry or from `solve_case_c`.
 Without a seed every solve is cold and reproducible on its own.
 """
 
@@ -64,6 +68,14 @@ _FIXED_POINT_TOL = 1e-9
 _DEDUP_TOL = 1e-6
 _MAX_ALTERNATIONS = 500
 _N_STARTS = 16
+# Points of the phi scan that ends the case (a) start loop.  Against the full
+# loop, over 4,000 random kinked-model keys (the tests' KINKED family, 1,628
+# keys with two case (a) pairs), 16 points changed the pairs of 9 keys, 32 of
+# 1 and 64 of none; 64 also changed none of 3,000 keys of both built-in
+# families over edge_params' (eta, e_lim) domain.  A grid geometric in theta,
+# not theta - 1, changed 2 kinked keys at 64: a basin just above theta_fp
+# fell between its points.
+_SCAN_POINTS = 64
 # brentq's tolerances for case (c)'s root.
 _XTOL, _RTOL = 1e-12, 8.9e-16
 # capacity(e) > 0 for every e >= this: C(e), about 0.92*e here, is formed as
@@ -289,6 +301,13 @@ def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, f
     point it reached flows to that same point.  A later start inside such a
     span is skipped, and a running start stops with no pair once it enters
     one.  Starts that fail or do not converge are discarded and cover no span.
+    Once a start converges to (theta_fp, e_fp), the remaining starts can add a
+    pair only through a second fixed point above e_fp.  F(e) > e exactly where
+    phi(theta*(e)) > 0, with phi(theta) = N(e_a(theta); theta) the N residual
+    along M = 0, so a scan of phi over (theta_fp, theta*(e_lim)] that finds it
+    negative at every point ends the loop; otherwise the starts run on.  The
+    scan samples phi at _SCAN_POINTS thetas, so a second basin narrower than
+    its spacing could go unseen (see _SCAN_POINTS for how often).
     """
     return [(theta, e, case) for theta, e, case, _, _ in _case_ab_pairs(p.eta, p.e_lim, m)]
 
@@ -317,6 +336,7 @@ def _case_ab_pairs(
     p = SystemParams(eta=eta, g=0.0, e_avg=0.0, e_lim=e_lim)
     pairs: list[tuple[float, float]] = []
     resolved: list[tuple[float, float]] = []  # e-spans of finished starts
+    theta_b = None  # theta*(e_lim): the case (b) root, and the scan's top
     for seed in _start_energies(p.e_lim):
         e = seed
         theta = math.inf
@@ -342,9 +362,66 @@ def _case_ab_pairs(
             abs(theta - t0) < _DEDUP_TOL and abs(e - e0) < _DEDUP_TOL for t0, e0 in pairs
         ):
             pairs.append((theta, e))
+        if converged and theta_b is None:
+            # Every later start lies in (seed, e_lim]: inside this start's
+            # span, or above e, where it flows down to e unless a second
+            # fixed point lies between.  So the first fixed point at or past
+            # e_lim, or a scan that finds no second one, ends the loop.
+            if e >= p.e_lim:
+                break
+            theta_b = _theta_star(p.e_lim, p, m)
+            if _no_fixed_point_above(theta, theta_b, p, m):
+                break
+    if theta_b is None:
+        theta_b = _theta_star(p.e_lim, p, m)
     out = [(t, e, Case.TRADE_OFF) for t, e in pairs]
-    out.append((_theta_star(p.e_lim, p, m), p.e_lim, Case.MAX_INFO_POWER))
+    out.append((theta_b, p.e_lim, Case.MAX_INFO_POWER))
     return tuple(_memo_entry(t, e, case, m) for t, e, case in out)
+
+
+def _phi_of_theta(p: SystemParams, m: DecoderEnergyModel):
+    """theta -> phi(theta) = N(e_a(theta); theta), with E and E' from one call.
+
+    e_a(theta) = ((theta-1)*theta*E'(theta) - E(theta))/eta is the e where
+    M(theta; e) = 0, so theta*(e_a(theta)) = theta, and eta*e_a + E is
+    w = (theta-1)*theta*E'.  N falls in e, so the alternation map F(e) =
+    e*(theta*(e)) moves e up exactly where phi(theta*(e)) > 0.  NaN where
+    e_a is not in (0, inf).
+    """
+    eta, evaluate_pair = p.eta, m.evaluate_pair
+
+    def phi_of(theta: float) -> float:
+        energy, slope = evaluate_pair(theta)
+        w = (theta - 1.0) * theta * slope
+        e_a = (w - energy) / eta
+        if not 0.0 < e_a < math.inf:
+            return math.nan
+        c, c_prime = capacity_pair(e_a)
+        return c_prime * w - eta * c
+
+    return phi_of
+
+
+def _no_fixed_point_above(
+    theta_fp: float, theta_b: float, p: SystemParams, m: DecoderEnergyModel
+) -> bool:
+    """phi < 0 at _SCAN_POINTS thetas in (theta_fp, theta_b], geometric in theta - 1.
+
+    theta_fp is a fixed point's theta and theta_b = theta*(e_lim), so the
+    thetas stand for e in (e_fp, e_lim].  F is monotone: where F(e) < e
+    there, every start in that span flows down to e_fp and adds no pair.
+    Stops at the first phi that is not negative (NaN included).
+    """
+    if not theta_fp < theta_b:
+        return True
+    lo = theta_fp - 1.0
+    if not lo > 0.0:
+        return False
+    phi_of = _phi_of_theta(p, m)
+    step = ((theta_b - 1.0) / lo) ** (1.0 / _SCAN_POINTS)
+    return all(phi_of(1.0 + lo * step**i) < 0.0 for i in range(1, _SCAN_POINTS)) and (
+        phi_of(theta_b) < 0.0
+    )
 
 
 def _memo_entry(theta: float, e: float, case: Case, m: DecoderEnergyModel):
@@ -445,6 +522,14 @@ def solve_case_c(
     neither is the closer to the optimum.  The seed records each root
     found, and is reset when this returns None.
     """
+    solved = _solve_case_c(p, m, seed)
+    return None if solved is None else solved[0]
+
+
+def _solve_case_c(
+    p: SystemParams, m: DecoderEnergyModel, seed: RowSeed | None
+) -> tuple[CandidateSolution, float] | None:
+    """`solve_case_c`'s candidate with E(theta_c), or None."""
     if p.budget <= 0.0:
         if seed is not None:
             seed.reset()
@@ -488,9 +573,8 @@ def solve_case_c(
         if h_one is not None or (top < e_lim and e_i >= _E_C_POSITIVE) or not h(1.0) <= 0.0:
             if seed is not None:
                 seed._record(p.e_avg, theta)
-            return CandidateSolution(
-                theta, e_i, Case.MAX_HARVEST_POWER, _objective(theta, e_i, energy, p)
-            )
+            objective_c = _objective(theta, e_i, energy, p)
+            return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective_c), energy
     if seed is not None:
         seed.reset()
     return None
@@ -525,7 +609,13 @@ def recover_full(
     The energy-causality and average-power constraints hold with equality by
     construction.
     """
-    energy = m.evaluate(theta)
+    return _recover_full(theta, e_i, m.evaluate(theta), p, m)
+
+
+def _recover_full(
+    theta: float, e_i: float, energy: float, p: SystemParams, m: DecoderEnergyModel
+) -> FullSolution:
+    """`recover_full` with energy = E(theta) given."""
     drain = p.eta * e_i + energy
     denom = drain - p.budget  # alpha * drain
     # Relative to drain: with e_avg a hair below e_lim and E tiny, a valid
@@ -574,15 +664,25 @@ def ranked_candidates(
     keep the a, b, c enumeration order and the first entry is the first
     maximizer in that order.  A row's `seed` goes to `solve_case_c`.
     """
-    candidates = [
-        CandidateSolution(t, e, case, _objective(t, e, energy, p, c_e=c_e))
+    return [cand for cand, _ in _ranked_candidates(p, m, seed)]
+
+
+def _ranked_candidates(
+    p: SystemParams, m: DecoderEnergyModel, seed: RowSeed | None
+) -> list[tuple[CandidateSolution, float]]:
+    """`ranked_candidates`, each candidate with its E(theta).
+
+    Every theta here is >= 1, so E(theta) is also the E that `feasible` reads.
+    """
+    ranked = [
+        (CandidateSolution(t, e, case, _objective(t, e, energy, p, c_e=c_e)), energy)
         for t, e, case, energy, c_e in _case_ab_pairs(p.eta, p.e_lim, m)
         if _feasible(t, e, energy, p)
     ]
-    cand_c = solve_case_c(p, m, seed=seed)
-    if cand_c is not None and feasible(cand_c.theta, cand_c.e_i, p, m):
-        candidates.append(cand_c)
-    return sorted(candidates, key=lambda c: c.objective, reverse=True)
+    solved = _solve_case_c(p, m, seed)
+    if solved is not None and _feasible(solved[0].theta, solved[0].e_i, solved[1], p):
+        ranked.append(solved)
+    return sorted(ranked, key=lambda r: r[0].objective, reverse=True)
 
 
 def algorithm1(
@@ -597,13 +697,13 @@ def algorithm1(
         if seed is not None:
             seed.reset()
         return _zero_solution(p)
-    ranked = ranked_candidates(p, m, seed=seed)
+    ranked = _ranked_candidates(p, m, seed)
     if not ranked:
         raise SolverError("no feasible candidate; internal consistency failure")
-    best = ranked[0]
+    best, energy = ranked[0]  # E(theta) from the memo entry or from solve_case_c
     if best.case_label is Case.MAX_HARVEST_POWER:  # e_e = e_lim; recover_full's can cancel
-        return best, _full_solution(best.theta, best.e_i, p.e_lim, m.evaluate(best.theta), p)
-    return best, recover_full(best.theta, best.e_i, p, m)
+        return best, _full_solution(best.theta, best.e_i, p.e_lim, energy, p)
+    return best, _recover_full(best.theta, best.e_i, energy, p, m)
 
 
 def constant_power_baseline(

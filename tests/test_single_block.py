@@ -6,6 +6,7 @@ here; closed-form checkpoints are evaluated by hand.
 """
 
 import contextlib
+import gzip
 import io
 import json
 import math
@@ -333,6 +334,39 @@ def _ref_solve_case_c(p, m):
     return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m))
 
 
+def _ref_case_ab_pairs(eta, e_lim, m):
+    """The case (a)/(b) memo entry from the full start loop: every start runs."""
+    p = SystemParams(eta=eta, g=0.0, e_avg=0.0, e_lim=e_lim)
+    pairs, resolved = [], []
+    for seed in single_block._start_energies(p.e_lim):
+        e = seed
+        theta = math.inf
+        converged = False
+        try:
+            for _ in range(single_block._MAX_ALTERNATIONS):
+                if any(lo <= e <= hi for lo, hi in resolved):
+                    break
+                theta_new = single_block._theta_star(e, p, m)
+                e_new = single_block._e_star(theta_new, p, m)
+                tol = single_block._FIXED_POINT_TOL
+                if abs(theta_new - theta) < tol and abs(e_new - e) < tol:
+                    theta, e = theta_new, e_new
+                    converged = True
+                    break
+                theta, e = theta_new, e_new
+            else:
+                continue
+        except SolverError:
+            continue
+        resolved.append((min(seed, e), max(seed, e)))
+        tol = single_block._DEDUP_TOL
+        if converged and not any(abs(theta - t0) < tol and abs(e - e0) < tol for t0, e0 in pairs):
+            pairs.append((theta, e))
+    out = [(t, e, Case.TRADE_OFF) for t, e in pairs]
+    out.append((single_block._theta_star(p.e_lim, p, m), p.e_lim, Case.MAX_INFO_POWER))
+    return tuple(single_block._memo_entry(t, e, case, m) for t, e, case in out)
+
+
 def _bits(fn, *args):
     """fn(*args) with every float as its hex (so -0.0 and 0.0 differ), or its error."""
     try:
@@ -365,6 +399,45 @@ def edge_params(draw):
 FAMILIES = st.one_of(
     st.just(MODEL), st.builds(power_law_model, st.floats(0.05, 20.0), st.floats(1.0, 10.0))
 )
+
+
+def kinked_model(a, k1, b1, k2, b2):
+    """E = a*(theta-1)^2 + b1*max(0, theta-k1) + b2*max(0, theta-k2), 1 <= k1 <= k2.
+
+    Convex, non-decreasing and unbounded with E(1) = 0; E' is the left
+    derivative at a kink.  Each kink lifts e_a(theta), the e where M = 0,
+    by a jump, so the alternation map can have a fixed point per kink.
+    """
+
+    def evaluate(theta):
+        t = max(float(theta), 1.0)
+        return a * (t - 1.0) * (t - 1.0) + b1 * max(0.0, t - k1) + b2 * max(0.0, t - k2)
+
+    def evaluate_pair(theta):
+        t = max(float(theta), 1.0)
+        slope = 2.0 * a * (t - 1.0) + (b1 if t > k1 else 0.0) + (b2 if t > k2 else 0.0)
+        return evaluate(t), slope
+
+    return DecoderEnergyModel(f"kinked:{a!r},{k1!r},{b1!r},{k2!r},{b2!r}", evaluate, evaluate_pair)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+KINKED = st.builds(
+    lambda a, d1, b1, d2, b2: kinked_model(a, 1.0 + d1, b1, 1.0 + d1 + d2, b2),
+    _log_uniform(-3.0, 1.0),
+    _log_uniform(-3.0, 0.3),
+    _log_uniform(-1.0, 1.5),
+    _log_uniform(-2.0, 0.5),
+    _log_uniform(-1.0, 1.5),
+)
+# A kinked model and key where the full start loop finds two case (a) pairs.
+TWO_BASIN = kinked_model(
+    0.082642685567771, 1.0632751011447352, 4.019165792633886, 2.2635013460318243, 3.7114501449430377
+)
+TWO_BASIN_KEY = (0.8188762993410432, 5.699880327587148)
 
 # Power laws over every scale: c log-uniform on [1e-300, 1e2], or the least
 # positive float, and p on [1, 10].
@@ -421,7 +494,7 @@ class TestOneModelCallPerTheta:
         case_ab_pairs(p, model)
         assert solve_case_c(p, model) is not None
         names = {frame.f_code.co_name for frame in calls}
-        assert {"m_of", "h"} <= names
+        assert {"m_of", "phi_of", "h"} <= names
         assert max(len(thetas) for thetas in calls.values()) == 1
 
 
@@ -447,7 +520,7 @@ class TestRankedCandidates:
             for t, e, c in case_ab_pairs(p, model)
             if feasible(t, e, p, model)
         ]
-        with mock.patch.object(single_block, "solve_case_c", lambda p, m, seed: None):
+        with mock.patch.object(single_block, "_solve_case_c", lambda p, m, seed: None):
             ranked = ranked_candidates(p, model)
         assert ranked == sorted(expected, key=lambda c: c.objective, reverse=True)
 
@@ -531,7 +604,9 @@ class TestCaseAbStarts:
 
     def test_cold_call_alternation_budget(self, monkeypatch):
         # Running every start to its own fixed point took at least 159
-        # theta* solves per key on this corpus.
+        # theta* solves per key on this corpus, and every start with the
+        # span skip up to 64.  Ending the loop at the first fixed point's
+        # scan leaves its alternation and the case (b) root.
         calls = []
         theta_star = single_block._theta_star
         monkeypatch.setattr(
@@ -541,7 +616,76 @@ class TestCaseAbStarts:
             _case_ab_pairs.cache_clear()
             calls.clear()
             _case_ab_pairs(key["eta"], key["e_lim"], _golden_model(key["model"]))
-            assert len(calls) <= 80, key
+            assert len(calls) <= 30, key
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        key=st.one_of(
+            st.tuples(edge_params().map(lambda p: (p.eta, p.e_lim)), st.one_of(FAMILIES, KINKED)),
+            # Where about 2 in 5 kinked keys have two case (a) pairs.
+            st.tuples(st.tuples(_log_uniform(-1.0, 0.0), _log_uniform(-1.0, 1.5)), KINKED),
+        )
+    )
+    def test_entries_match_the_full_start_loop(self, key):
+        # The scan's break drops only starts that add no pair: the memo
+        # entry is the one every start gives, to the bit, or the same error.
+        (eta, e_lim), model = key
+        pairs = _outcome(_case_ab_pairs.__wrapped__, eta, e_lim, model)
+        assert pairs == _outcome(_ref_case_ab_pairs, eta, e_lim, model)
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The result of each stop scan a solve runs."""
+        results = []
+        scan = single_block._no_fixed_point_above
+        monkeypatch.setattr(
+            single_block,
+            "_no_fixed_point_above",
+            lambda *args: results.append(scan(*args)) or results[-1],
+        )
+        return results
+
+    def test_two_basins_run_every_start(self, scans):
+        # phi > 0 between the two fixed points, so the scan after the first
+        # one fails and the loop goes on to the second.
+        eta, e_lim = TWO_BASIN_KEY
+        entry = _case_ab_pairs.__wrapped__(eta, e_lim, TWO_BASIN)
+        assert scans == [False]
+        assert [case for _, _, case, _, _ in entry] == [Case.TRADE_OFF] * 2 + [Case.MAX_INFO_POWER]
+        assert entry == _ref_case_ab_pairs(eta, e_lim, TWO_BASIN)
+        (theta_1, *_), (theta_2, *_), _ = entry
+        phi = single_block._phi_of_theta(SystemParams(eta, 0.0, 0.0, e_lim), TWO_BASIN)
+        assert max(phi(t) for t in np.linspace(theta_1, theta_2, 100)[1:-1]) > 0.0
+
+    def test_one_basin_stops_after_the_first_fixed_point(self, scans):
+        entry = _case_ab_pairs.__wrapped__(P_REF.eta, P_REF.e_lim, MODEL)
+        assert scans == [True]
+        assert entry == _ref_case_ab_pairs(P_REF.eta, P_REF.e_lim, MODEL)
+
+    def test_stored_benchmark_keys_match_the_full_start_loop(self):
+        # Every (eta, e_lim, model) key of the stored figure-maps and
+        # multi-plan invocations, as the CLI parses it.
+        keys = set()
+        for workload in ("figure-maps", "multi-plan"):
+            path = Path(__file__).parents[1] / "benchmarks" / "reference" / f"{workload}.json.gz"
+            with gzip.open(path, "rt") as fh:
+                for inv in json.load(fh)["invocations"]:
+                    opts = {}
+                    argv = inv["argv"]
+                    for flag, value in zip(argv[1::2], argv[2::2]):
+                        opts.setdefault(flag, []).append(value)
+                    if "--e-lim" in opts:
+                        e_lims = [float(opts["--e-lim"][0])]
+                    else:
+                        e_lims = cli._parse_sweeps(opts["--sweep"])["e_lim"]
+                    eta = float(opts["--eta"][0])
+                    keys.update((eta, e_lim, opts["--ed-model"][0]) for e_lim in e_lims)
+        assert len(keys) > 500
+        for eta, e_lim, spec in sorted(keys):
+            model = parse_model(spec)
+            assert _case_ab_pairs.__wrapped__(eta, e_lim, model) == _ref_case_ab_pairs(
+                eta, e_lim, model
+            ), (eta, e_lim, spec)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -878,23 +1022,30 @@ class TestRowSeed:
                 assert _same_root(seeded.theta, seeded.bits_per_use, cold.theta, cold.bits_per_use, p)
 
     def test_seeded_row_makes_fewer_model_calls(self):
-        # A 40-cell row.  Cold, each cell finds theta' (about 8.7 evaluate
-        # calls) and brackets h on [1, theta' - gap] (about 11 evaluate_pair
-        # calls, h(1) among them); every cell also takes E once for its e_i
-        # and objective.  Seeded, all but the first two cells bracket h
-        # around the extrapolated root (about 5.9 evaluate_pair calls), with
-        # no h(1) and no theta'.
+        # A 40-cell row, solved whole by `algorithm1` (30 cells won by case
+        # (a), 10 by case (c)) and by `solve_case_c` alone.  Cold, each cell
+        # finds theta' (about 8.7 evaluate calls) and brackets h on
+        # [1, theta' - gap] (about 11 evaluate_pair calls, h(1) among them);
+        # every cell also takes E(theta_c) once, for its e_i and objective.
+        # Seeded, all but the first two cells bracket h around the
+        # extrapolated root (about 5.9 evaluate_pair calls), with no h(1) and
+        # no theta'.  The key's case (a)/(b) pairs are solved beforehand.
+        # The winner's feasibility check and full solution reuse the E of its
+        # memo entry or of `solve_case_c`, so a whole cell asks the model
+        # nothing more than its case (c) solve does.
         calls, model = _counted_model()
-        counts = {}
-        for seeded, seed in ((False, None), (True, single_block.RowSeed())):
-            calls.update(evaluate=0, evaluate_pair=0, at_one=0)
-            for i in range(40):
-                p = SystemParams(eta=0.5, g=0.0, e_avg=0.1 + 0.07 * i, e_lim=3.0)
-                assert solve_case_c(p, model, seed=seed) is not None
-            counts[seeded] = dict(calls)
-        assert counts[False] == {"evaluate": 387, "evaluate_pair": 446, "at_one": 80}
-        assert counts[True] == {"evaluate": 56, "evaluate_pair": 245, "at_one": 4}
-        assert sum(counts[True].values()) < sum(counts[False].values())
+        case_ab_pairs(P_REF, model)
+        for solve in (algorithm1, solve_case_c):
+            counts = {}
+            for seeded, seed in ((False, None), (True, single_block.RowSeed())):
+                calls.update(evaluate=0, evaluate_pair=0, at_one=0)
+                for i in range(40):
+                    p = SystemParams(eta=0.5, g=0.0, e_avg=0.1 + 0.07 * i, e_lim=3.0)
+                    assert solve(p, model, seed=seed) is not None
+                counts[seeded] = dict(calls)
+            assert counts[False] == {"evaluate": 387, "evaluate_pair": 446, "at_one": 80}
+            assert counts[True] == {"evaluate": 56, "evaluate_pair": 245, "at_one": 4}
+            assert sum(counts[True].values()) < sum(counts[False].values())
 
     def test_seeded_baseline_makes_fewer_model_calls(self):
         # The baselines of a 49-point sweep-single row.  Cold, each point
