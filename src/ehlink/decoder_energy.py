@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .roots import SolverError, brentq
+from .roots import SolverError, bracket_up, brentq
 
 __all__ = [
     "DecoderEnergyModel",
@@ -130,11 +130,12 @@ def parse_model(spec: str) -> DecoderEnergyModel:
 def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
     """Return theta >= 1 with model.evaluate(theta) == target.
 
-    Brent's method (`roots.brentq`) on [1, hi] after doubling hi from 2;
-    existence is guaranteed by the model growing without bound.  A convex,
-    non-decreasing, unbounded model grows at least linearly, so hi may
-    double until it leaves the floats.  A target of inf or NaN raises
-    `SolverError`, as does one the model reaches only past the floats.
+    Brent's method (`roots.brentq`) on target - E over [1, hi], with hi
+    doubled from 2 by `roots.bracket_up`; existence is guaranteed by the
+    model growing without bound.  A convex, non-decreasing, unbounded model
+    grows at least linearly, so hi may double until it leaves the floats.
+    A target of inf or NaN raises `SolverError`, as does one the model
+    reaches only past the floats (a NaN value counts as not reached).
     """
     if target < 0:
         raise ValueError("target energy must be >= 0")
@@ -145,18 +146,17 @@ def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
             f"decoder energy model {model.name} cannot reach target energy {target:g}: "
             "it is not within the float range"
         )
-    hi = 2.0
-    e_hi = model.evaluate(hi)
-    while e_hi < target:
-        hi *= 2.0
-        if hi == math.inf:
-            raise SolverError(
-                f"decoder energy model {model.name} does not reach {target:g} "
-                "within the float range"
-            )
-        e_hi = model.evaluate(hi)
 
     def f(t: float) -> float:
-        return model.evaluate(t) - target
+        return target - model.evaluate(t)
 
-    return brentq(f, 1.0, hi, f(1.0), e_hi - target, xtol=1e-13, rtol=8.9e-16)
+    try:
+        _, hi, _, f_hi = bracket_up(f, 1.0, 2.0)
+    except SolverError:
+        raise SolverError(
+            f"decoder energy model {model.name} does not reach {target:g} "
+            "within the float range"
+        ) from None
+    # The bracket keeps its low end at 1, not the moved lo.  brentq's iterates
+    # are odd in f, so this is also the root of E(t) - target, bit for bit.
+    return brentq(f, 1.0, hi, f(1.0), f_hi, xtol=1e-13, rtol=8.9e-16)

@@ -1,11 +1,12 @@
-"""Brent's method for one bracketed scalar root.
+"""Brent's method for one bracketed scalar root, and the bracket search before it.
 
 `brentq` is a port of scipy's ``brentq.c`` (the solver behind
 ``scipy.optimize.brentq``) with its control flow and every float operation,
 so it returns the same float for the same function, bracket and tolerances.
 It differs in one way: the caller passes f(a) and f(b), which every bracket
 search here has already computed, so the two endpoint values are not
-evaluated again.
+evaluated again.  `bracket_up` is the one doubling search that the
+solvers' cold brackets share.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import sys
 from typing import Callable
 
-__all__ = ["SolverError", "brentq"]
+__all__ = ["SolverError", "bracket_up", "brentq"]
 
 # scipy's smallest accepted rtol and its default iteration limit.
 _MIN_RTOL = 4.0 * sys.float_info.epsilon
@@ -27,6 +28,24 @@ class SolverError(RuntimeError):
 
 def _nan_error(x: float) -> ValueError:
     return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
+def bracket_up(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float | None = None
+) -> tuple[float, float, float | None, float]:
+    """(lo, hi, f_lo, f_hi) with f(hi) <= 0: hi doubles while f(hi) is not <= 0 (NaN too).
+
+    Each failed hi becomes lo, with its value as f_lo; until then f_lo is the
+    one given, None included.  Raises SolverError once hi leaves the floats.
+    """
+    f_hi = f(hi)
+    while not f_hi <= 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        if hi == math.inf:
+            raise SolverError("no sign change of f within the float range")
+        f_hi = f(hi)
+    return lo, hi, f_lo, f_hi
 
 
 def brentq(

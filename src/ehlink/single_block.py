@@ -22,12 +22,13 @@ root to brentq's tolerance rather than bit for bit.  A seeded case (c)
 cell evaluates h(1) only when its bracket reaches theta = 1 or falls back,
 or when rounding may hide its sign (`solve_case_c`).
 The case (a)/(b) pairs depend on (eta, e_lim, model) only; their memo entry
-carries E(theta) and C(e), so every cell with that key scores them by
-arithmetic alone, with the same floats `feasible` and `objective` give.
+carries E(theta) and C(e), which every cell with that key hands to
+`feasible` and `objective`, so it scores them with no model call.
 A cold key alternates from its first start to a fixed point, then scans the
 case (a) residual above it and stops when it shows no second fixed point
-(`case_ab_pairs`).  The winner's full solution reuses the E(theta) its
-candidate was scored with, from the memo entry or from `solve_case_c`.
+(`case_ab_pairs`).  Each `CandidateSolution` carries the E(theta) it was
+scored with, and the winner's full solution reuses it.  The cold brackets
+of the M-, N- and E-roots come from one doubling search, `roots.bracket_up`.
 Without a seed every solve is cold and reproducible on its own.
 """
 
@@ -40,7 +41,7 @@ from enum import Enum
 
 from .channel import capacity, capacity_pair
 from .decoder_energy import DecoderEnergyModel, inverse_energy
-from .roots import SolverError, brentq
+from .roots import SolverError, bracket_up, brentq
 
 __all__ = [
     "Case",
@@ -144,6 +145,7 @@ class CandidateSolution:
     e_i: float
     case_label: Case
     objective: float
+    energy: float  # E(theta), which the objective was scored with
 
 
 @dataclass(frozen=True)
@@ -162,21 +164,20 @@ def objective(
     p: SystemParams,
     m: DecoderEnergyModel,
     budget: float | None = None,
+    *,
+    energy=None,
+    c_e=None,
 ) -> float:
     """Reduced objective ((theta-1)/theta) * budget * C(e_i) / (eta*e_i + E(theta)).
 
     The budget defaults to the block's own eta*e_avg - g; budget=1.0 gives
     the normalized objective of the multi-block bound, which then depends
     on eta and the model only.  Returns 0 for the degenerate 0/0 point
-    theta = 1, e_i = 0.
+    theta = 1, e_i = 0.  A caller that already holds energy = E(theta) or
+    c_e = C(e_i) may pass it; the float is the same.
     """
-    return _objective(theta, e_i, m.evaluate(theta), p, budget)
-
-
-def _objective(
-    theta: float, e_i: float, energy: float, p: SystemParams, budget=None, c_e=None
-) -> float:
-    """`objective` with energy = E(theta) given, and C(e_i) if c_e is given."""
+    if energy is None:
+        energy = m.evaluate(theta)
     denom = p.eta * e_i + energy
     if denom <= 0.0:
         return 0.0
@@ -185,13 +186,15 @@ def _objective(
     return (theta - 1.0) / theta * budget * (capacity(e_i) if c_e is None else c_e) / denom
 
 
-def feasible(theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel) -> bool:
-    """Check the reduced problem's constraints within FEAS_TOL."""
-    return _feasible(theta, e_i, m.evaluate(max(theta, 1.0)), p)
+def feasible(
+    theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel, *, energy=None
+) -> bool:
+    """Check the reduced problem's constraints within FEAS_TOL.
 
-
-def _feasible(theta: float, e_i: float, energy: float, p: SystemParams) -> bool:
-    """`feasible` with energy = E(max(theta, 1)) given."""
+    A caller that already holds energy = E(max(theta, 1)) may pass it.
+    """
+    if energy is None:
+        energy = m.evaluate(max(theta, 1.0))
     if not (-FEAS_TOL <= e_i <= p.e_lim + FEAS_TOL):
         return False
     if theta < 1.0 - FEAS_TOL:
@@ -239,16 +242,12 @@ def n_function(e_i: float, theta: float, p: SystemParams, m: DecoderEnergyModel)
 def _theta_star(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Unique root of M(theta) = 0 for fixed e_i > 0."""
     f = _m_of_theta(e_i, p, m)
-    lo, hi = 1.0, 2.0
-    f_lo, f_hi = None, f(hi)
-    while not f_hi <= 0.0:  # a NaN M (E past the floats) doubles on to the error
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi == math.inf:
-            raise SolverError(
-                f"no M-root within the float range at e_i = {e_i:g} with model {m.name}"
-            )
-        f_hi = f(hi)
+    try:  # a NaN M (E past the floats) doubles on to the error
+        lo, hi, f_lo, f_hi = bracket_up(f, 1.0, 2.0)
+    except SolverError:
+        raise SolverError(
+            f"no M-root within the float range at e_i = {e_i:g} with model {m.name}"
+        ) from None
     if f_lo is None:
         f_lo = f(lo)
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=8.9e-16)
@@ -270,18 +269,18 @@ def solve_lemma3(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
 def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Unique root of N(e) = 0 for fixed theta > 1."""
     f = _n_of_e(theta, p, m)
-    lo, hi = 1e-12, 1.0
-    f_lo = f(lo)
+    f_lo = f(1e-12)
     if f_lo <= 0.0:
         # Root sits essentially at 0; cannot happen for theta > 1 with a
         # property-(1)/(2) model, so treat as solver failure.
         raise SolverError("N(0+) <= 0; energy model suspect")
-    f_hi = f(hi)
     # N = -eta once C' underflows (e above about 745), so hi stops by e = 1024.
-    while f_hi > 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = f(hi)
+    try:
+        lo, hi, f_lo, f_hi = bracket_up(f, 1e-12, 1.0, f_lo)
+    except SolverError:
+        raise SolverError(
+            f"no N-root within the float range at theta = {theta:g} with model {m.name}"
+        ) from None
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-14, rtol=8.9e-16)
 
 
@@ -522,14 +521,6 @@ def solve_case_c(
     neither is the closer to the optimum.  The seed records each root
     found, and is reset when this returns None.
     """
-    solved = _solve_case_c(p, m, seed)
-    return None if solved is None else solved[0]
-
-
-def _solve_case_c(
-    p: SystemParams, m: DecoderEnergyModel, seed: RowSeed | None
-) -> tuple[CandidateSolution, float] | None:
-    """`solve_case_c`'s candidate with E(theta_c), or None."""
     if p.budget <= 0.0:
         if seed is not None:
             seed.reset()
@@ -573,8 +564,8 @@ def _solve_case_c(
         if h_one is not None or (top < e_lim and e_i >= _E_C_POSITIVE) or not h(1.0) <= 0.0:
             if seed is not None:
                 seed._record(p.e_avg, theta)
-            objective_c = _objective(theta, e_i, energy, p)
-            return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective_c), energy
+            objective_c = objective(theta, e_i, p, m, energy=energy)
+            return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective_c, energy)
     if seed is not None:
         seed.reset()
     return None
@@ -602,20 +593,15 @@ def _cold_root(h, h_one: float, theta_prime: float) -> float:
 
 
 def recover_full(
-    theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel
+    theta: float, e_i: float, p: SystemParams, m: DecoderEnergyModel, *, energy=None
 ) -> FullSolution:
     """Recover (alpha, R, e_e) from a feasible reduced pair.
 
     The energy-causality and average-power constraints hold with equality by
-    construction.
+    construction.  A caller that already holds energy = E(theta) may pass it.
     """
-    return _recover_full(theta, e_i, m.evaluate(theta), p, m)
-
-
-def _recover_full(
-    theta: float, e_i: float, energy: float, p: SystemParams, m: DecoderEnergyModel
-) -> FullSolution:
-    """`recover_full` with energy = E(theta) given."""
+    if energy is None:
+        energy = m.evaluate(theta)
     drain = p.eta * e_i + energy
     denom = drain - p.budget  # alpha * drain
     # Relative to drain: with e_avg a hair below e_lim and E tiny, a valid
@@ -648,7 +634,7 @@ def _full_solution(
 
 
 def _zero_solution(p: SystemParams) -> tuple[CandidateSolution, FullSolution]:
-    cand = CandidateSolution(1.0, 0.0, Case.TRADE_OFF, 0.0)
+    cand = CandidateSolution(1.0, 0.0, Case.TRADE_OFF, 0.0, 0.0)  # E(1) = 0
     full = FullSolution(1.0, 0.0, p.e_avg, 0.0, 1.0, 0.0)
     return cand, full
 
@@ -659,30 +645,21 @@ def ranked_candidates(
     """Feasible case (a)/(b)/(c) candidates, best objective first.
 
     Feasibility is checked before an objective is computed; case (a)/(b)
-    pairs are scored from the E and C in their memo entry, with the same
-    floats `feasible` and `objective` give.  The sort is stable, so ties
-    keep the a, b, c enumeration order and the first entry is the first
-    maximizer in that order.  A row's `seed` goes to `solve_case_c`.
-    """
-    return [cand for cand, _ in _ranked_candidates(p, m, seed)]
-
-
-def _ranked_candidates(
-    p: SystemParams, m: DecoderEnergyModel, seed: RowSeed | None
-) -> list[tuple[CandidateSolution, float]]:
-    """`ranked_candidates`, each candidate with its E(theta).
-
-    Every theta here is >= 1, so E(theta) is also the E that `feasible` reads.
+    pairs are scored from the E and C in their memo entry, and every theta
+    here is >= 1, so each candidate's E(theta) is also the E `feasible`
+    reads.  The sort is stable, so ties keep the a, b, c enumeration order
+    and the first entry is the first maximizer in that order.  A row's
+    `seed` goes to `solve_case_c`.
     """
     ranked = [
-        (CandidateSolution(t, e, case, _objective(t, e, energy, p, c_e=c_e)), energy)
+        CandidateSolution(t, e, case, objective(t, e, p, m, energy=energy, c_e=c_e), energy)
         for t, e, case, energy, c_e in _case_ab_pairs(p.eta, p.e_lim, m)
-        if _feasible(t, e, energy, p)
+        if feasible(t, e, p, m, energy=energy)
     ]
-    solved = _solve_case_c(p, m, seed)
-    if solved is not None and _feasible(solved[0].theta, solved[0].e_i, solved[1], p):
-        ranked.append(solved)
-    return sorted(ranked, key=lambda r: r[0].objective, reverse=True)
+    cand = solve_case_c(p, m, seed=seed)
+    if cand is not None and feasible(cand.theta, cand.e_i, p, m, energy=cand.energy):
+        ranked.append(cand)
+    return sorted(ranked, key=lambda c: c.objective, reverse=True)
 
 
 def algorithm1(
@@ -697,13 +674,13 @@ def algorithm1(
         if seed is not None:
             seed.reset()
         return _zero_solution(p)
-    ranked = _ranked_candidates(p, m, seed)
+    ranked = ranked_candidates(p, m, seed=seed)
     if not ranked:
         raise SolverError("no feasible candidate; internal consistency failure")
-    best, energy = ranked[0]  # E(theta) from the memo entry or from solve_case_c
+    best = ranked[0]
     if best.case_label is Case.MAX_HARVEST_POWER:  # e_e = e_lim; recover_full's can cancel
-        return best, _full_solution(best.theta, best.e_i, p.e_lim, energy, p)
-    return best, _recover_full(best.theta, best.e_i, energy, p, m)
+        return best, _full_solution(best.theta, best.e_i, p.e_lim, best.energy, p)
+    return best, recover_full(best.theta, best.e_i, p, m, energy=best.energy)
 
 
 def constant_power_baseline(

@@ -308,9 +308,9 @@ class TestSweeps:
 
     def test_margin_is_over_the_best_other_case(self, monkeypatch):
         # A second case (a) pair ranks above case (b); the margin skips it.
-        a1 = CandidateSolution(1.5, 1.0, Case.TRADE_OFF, 0.5)
-        a2 = CandidateSolution(2.0, 0.5, Case.TRADE_OFF, 0.375)
-        b = CandidateSolution(1.4, 3.0, Case.MAX_INFO_POWER, 0.25)
+        a1 = CandidateSolution(1.5, 1.0, Case.TRADE_OFF, 0.5, 0.877)
+        a2 = CandidateSolution(2.0, 0.5, Case.TRADE_OFF, 0.375, 2.0)
+        b = CandidateSolution(1.4, 3.0, Case.MAX_INFO_POWER, 0.25, 0.68)
         for ranked, expected in (([a1, a2, b], ("a", 0.25)), ([a1, a2], ("a", math.inf))):
             monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m, seed: ranked)
             assert cli._case_margins(P_MAP, None, None) == expected

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehlink import inverse_energy, parse_model, power_law_model, theta_log_theta_model
+from ehlink.decoder_energy import DecoderEnergyModel
 from ehlink.roots import SolverError
 
 MODELS = [theta_log_theta_model(), power_law_model(1.0, 2.0), power_law_model(0.3, 1.5)]
@@ -133,6 +134,20 @@ class TestPowerLaw:
             r"within the float range$",
         ):
             inverse_energy(power_law_model(5e-324, 1.0), 1.0)
+
+
+def test_inverse_of_a_model_turning_nan_is_a_typed_error():
+    # A custom model that is NaN past theta = 1.5: every doubled bracket end
+    # reads NaN, so the bracket search runs out of floats, as for a target
+    # the model never reaches, rather than handing brentq a NaN.
+    def evaluate(theta):
+        return theta - 1.0 if theta < 1.5 else math.nan
+
+    model = DecoderEnergyModel("nan-past-1.5", evaluate, lambda t: (evaluate(t), 1.0))
+    with pytest.raises(
+        SolverError, match=r"^decoder energy model nan-past-1\.5 does not reach 1 within"
+    ):
+        inverse_energy(model, 1.0)
 
 
 class TestParseModel:

@@ -1,4 +1,7 @@
-"""The in-house Brent solver against scipy's: the same float, the same errors."""
+"""The in-house Brent solver against scipy's: the same float, the same errors.
+
+Also the doubling bracket search that the solvers' cold brackets share.
+"""
 
 import math
 import sys
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from ehlink.roots import brentq
+from ehlink.roots import SolverError, bracket_up, brentq
 
 # The xtol values the solvers use, and scipy's smallest rtol next to theirs.
 XTOLS = (1e-12, 1e-13, 1e-14)
@@ -158,3 +161,115 @@ class TestEdgeCases:
             result = _port(f, -1.0, 2.0, xtol, rtol)
             assert result == _scipy(f, -1.0, 2.0, xtol, rtol)
             assert result[0] is ValueError
+
+
+# Families that rise through their root; bracket_up takes the falling -f.
+RISING = (_linear, _exponential, _zero_plateau, _minus_zero_plateau)
+
+
+def _falling(family, r, k, cut):
+    f = family(r, k, cut)
+    return (lambda x: -f(x)) if family in RISING else f
+
+
+def _theta_star_loop(f, lo, hi):
+    """The doubling loop single_block._theta_star kept before bracket_up."""
+    f_lo, f_hi = None, f(hi)
+    while not f_hi <= 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        if hi == math.inf:
+            raise SolverError("no M-root within the float range")
+        f_hi = f(hi)
+    return lo, hi, f_lo, f_hi
+
+
+def _e_star_loop(f, lo, hi):
+    """The doubling loop single_block._e_star kept, f(lo) taken first."""
+    f_lo = f(lo)
+    f_hi = f(hi)
+    while f_hi > 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        f_hi = f(hi)
+    return lo, hi, f_lo, f_hi
+
+
+def _inverse_energy_loop(rising, hi):
+    """The doubling loop inverse_energy kept, on a rising E - target."""
+    e_hi = rising(hi)
+    while e_hi < 0.0:
+        hi *= 2.0
+        if hi == math.inf:
+            raise SolverError("does not reach the target within the float range")
+        e_hi = rising(hi)
+    return hi, e_hi
+
+
+class TestBracketUp:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        log_r=st.floats(-3.0, 2.0),
+        log_hi=st.floats(-6.0, 2.0),
+        log_lo_share=st.floats(-12.0, -0.3),
+        cut_share=st.floats(0.0, 1.0),
+        log_k=st.floats(-2.0, 0.5),
+    )
+    def test_returns_what_the_replaced_loops_return(
+        self, family, log_r, log_hi, log_lo_share, cut_share, log_k
+    ):
+        # Positive brackets below or above a root r in (1e-3, 100], as the
+        # solvers' are; the -inf family turns at a cut above r.
+        r, hi = 10.0**log_r, 10.0**log_hi
+        lo = hi * 10.0**log_lo_share
+        f = _falling(family, r, 10.0**log_k, r * (1.0 + cut_share))
+        assert bracket_up(f, lo, hi) == _theta_star_loop(f, lo, hi)
+        assert bracket_up(f, lo, hi, f(lo)) == _e_star_loop(f, lo, hi)
+        _, b, _, f_b = bracket_up(f, lo, hi)
+        assert (b, -f_b) == _inverse_energy_loop(lambda x: -f(x), hi)
+
+    def test_f_lo_stays_given_until_lo_moves(self):
+        f = lambda x: 3.0 - x  # noqa: E731
+        assert bracket_up(f, 1.0, 4.0) == (1.0, 4.0, None, -1.0)
+        assert bracket_up(f, 1.0, 4.0, 2.0) == (1.0, 4.0, 2.0, -1.0)
+        assert bracket_up(f, 1.0, 2.0) == (2.0, 4.0, 1.0, -1.0)
+        assert bracket_up(f, 1.0, 2.0, 2.0) == (2.0, 4.0, 1.0, -1.0)
+
+    def test_nan_doubles_on(self):
+        f = lambda x: math.nan if x < 10.0 else -1.0  # noqa: E731
+        lo, hi, f_lo, f_hi = bracket_up(f, 1.0, 2.0)
+        assert (lo, hi, f_hi) == (8.0, 16.0, -1.0)
+        assert math.isnan(f_lo)
+
+    def test_positive_everywhere_is_a_solver_error(self):
+        # hi doubles from 2 to 2**1023, the largest power of two, then leaves
+        # the floats: 1023 values, all in this process.
+        seen = []
+        with pytest.raises(SolverError, match="within the float range"):
+            bracket_up(lambda x: seen.append(x) or 1.0, 1.0, 2.0)
+        assert seen == [2.0**i for i in range(1, 1024)]
+
+
+class TestOddInF:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        r=st.floats(-10.0, 10.0),
+        left=st.floats(-8.0, 2.0),
+        right=st.floats(-8.0, 2.0),
+        cut_share=st.floats(0.0, 1.0),
+        log_k=st.floats(-2.0, 0.5),
+        xtol=st.sampled_from(XTOLS),
+        rtol=st.sampled_from(RTOLS),
+    )
+    def test_negated_f_gives_the_same_float(
+        self, family, r, left, right, cut_share, log_k, xtol, rtol
+    ):
+        # Negation is exact, and every step of brentq is odd in f, so
+        # inverse_energy may bracket target - E in place of E - target.
+        a, b = r - 10.0**left, r + 10.0**right
+        f = family(r, 10.0**log_k, r + cut_share * (b - r))
+        root = _port(f, a, b, xtol, rtol)
+        assert isinstance(root, float)
+        assert _port(lambda x: -f(x), a, b, xtol, rtol) == root

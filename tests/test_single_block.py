@@ -331,7 +331,9 @@ def _ref_solve_case_c(p, m):
     else:
         theta = brentq(h, 1.0, hi, h_one, h_hi, xtol=1e-12, rtol=8.9e-16)
     e_i = _ref_e0(theta, p, m)
-    return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m))
+    return CandidateSolution(
+        theta, e_i, Case.MAX_HARVEST_POWER, objective(theta, e_i, p, m), m.evaluate(theta)
+    )
 
 
 def _ref_case_ab_pairs(eta, e_lim, m):
@@ -516,11 +518,11 @@ class TestRankedCandidates:
         # entry; with case (c) left out, that is exactly the feasible-filtered
         # list `feasible` and `objective` give, in the same stable order.
         expected = [
-            CandidateSolution(t, e, c, objective(t, e, p, model))
+            CandidateSolution(t, e, c, objective(t, e, p, model), model.evaluate(t))
             for t, e, c in case_ab_pairs(p, model)
             if feasible(t, e, p, model)
         ]
-        with mock.patch.object(single_block, "_solve_case_c", lambda p, m, seed: None):
+        with mock.patch.object(single_block, "solve_case_c", lambda p, m, seed: None):
             ranked = ranked_candidates(p, model)
         assert ranked == sorted(expected, key=lambda c: c.objective, reverse=True)
 
@@ -533,6 +535,36 @@ class TestRankedCandidates:
         expected = [(t, e) for t, e, _ in case_ab_pairs(p, MODEL) if feasible(t, e, p, MODEL)]
         assert [(c.theta, c.e_i) for c in ranked] == expected
         assert ranked[-1].case_label is Case.MAX_INFO_POWER
+
+
+class TestCandidateEnergy:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=edge_params(), model=st.one_of(FAMILIES, st.just(TWO_BASIN)))
+    def test_every_candidate_carries_its_model_energy(self, p, model):
+        # The zero solution's theta is 1, and E(1) = 0 by the model contract.
+        for cand in [*ranked_candidates(p, model), algorithm1(p, model)[0]]:
+            assert cand.energy.hex() == model.evaluate(cand.theta).hex()
+
+    @pytest.mark.parametrize(
+        "e_avg, case, names",
+        [
+            (1.0, Case.TRADE_OFF, ("feasible", "solve_case_c", "objective", "recover_full")),
+            (2.5, Case.MAX_HARVEST_POWER, ("feasible", "solve_case_c", "objective")),
+        ],
+    )
+    def test_algorithm1_calls_the_public_functions(self, e_avg, case, names):
+        # The benchmark tracer wraps these module attributes, so a solve that
+        # bypassed one (a private twin) would hide its calls from the trace.
+        p = SystemParams(eta=0.5, g=0.0, e_avg=e_avg, e_lim=3.0)
+        with contextlib.ExitStack() as stack:
+            spies = {
+                name: stack.enter_context(
+                    mock.patch.object(single_block, name, wraps=getattr(single_block, name))
+                )
+                for name in names
+            }
+            assert algorithm1(p, MODEL)[0].case_label is case
+        assert [name for name, spy in spies.items() if not spy.called] == []
 
 
 class TestCaseAbMemo:
