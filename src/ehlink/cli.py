@@ -171,7 +171,7 @@ def _blocks(args) -> int | None:
 
 def _resolve_g_list(args) -> tuple[float, ...]:
     blocks = _blocks(args)
-    if args.g_list:
+    if args.g_list is not None:
         values = tuple(_number(x, "--g-list entry") for x in args.g_list.split(","))
         if blocks is not None and len(values) != blocks:
             raise ValueError("--g-list length disagrees with --blocks")
@@ -208,8 +208,6 @@ def _case_margins(p: SystemParams, model, seed) -> tuple[str, float]:
     if p.budget <= 0.0:
         return single_block.algorithm1(p, model, seed=seed)[0].case_label.value, 0.0
     ranked = single_block.ranked_candidates(p, model, seed=seed)
-    if not ranked:
-        return "invalid", math.nan
     winner = ranked[0]
     runner_up = next((c for c in ranked if c.case_label is not winner.case_label), None)
     margin = math.inf if runner_up is None else winner.objective - runner_up.objective

@@ -117,6 +117,8 @@ def parse_model(spec: str) -> DecoderEnergyModel:
                 key = key.strip()
                 if key not in ("c", "p"):
                     raise ValueError(f"unknown power-law parameter {key!r}")
+                if key in kwargs:
+                    raise ValueError(f"power-law {key} is given twice")
                 try:
                     kwargs[key] = float(value)
                 except ValueError:

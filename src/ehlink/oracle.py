@@ -1,10 +1,12 @@
 """Brute-force verification oracles, independent of the equation solvers.
 
 Dense grid search for the single-block problem and the normalized box
-problem, plus exhaustive vertex enumeration for the transfer LP.  These are
-deliberately simple; they exist to certify the fast solvers, so they state
-the objective, the BSC capacity over a grid and the transfer polytope
-themselves and call no solver code (only its data classes are imported).
+problem, which share one theta-range search that doubles the range while
+the maximum sits on its upper edge, plus exhaustive vertex enumeration for
+the transfer LP.  These are deliberately simple; they exist to certify the
+fast solvers, so they state the objective, the BSC capacity over a grid and
+the transfer polytope themselves and call no solver code (only its data
+classes are imported).
 The grid searches return the first maximum over every cell, but evaluate
 only the cells that an exact float bound (the box bound of monotonic
 optimization, taken on the grid's own floats per block of theta rows and
@@ -164,9 +166,24 @@ def _grid_argmax(theta_grid, e_grid, budget, p, m, k1=None, rhs=None):
     return best
 
 
-def _upper_edge_error(theta_grid, ranges):
-    """The argmax sat on the upper edge of every theta range: no maximum found."""
-    return ValueError(
+def _range_search(p, m, spec, theta_max, ranges, budget, k1=None, rhs=None):
+    """`_grid_argmax` over log-spaced theta in [1 + 1e-6, theta_max], e in [0, e_lim].
+
+    theta_max doubles while the argmax sits on the upper theta edge, for at
+    most ``ranges`` ranges, and a ValueError past the last.  At zero budget
+    every cell is 0, and the first one is returned on the first range.
+    Returns (theta, e, value).
+    """
+    import numpy as np
+
+    e_grid = np.linspace(0.0, p.e_lim, spec.e_points)
+    for _ in range(ranges):
+        theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
+        i, j, value = _grid_argmax(theta_grid, e_grid, budget, p, m, k1, rhs)
+        if i < spec.theta_points - 1 or budget == 0.0:
+            return float(theta_grid[i]), float(e_grid[j]), value
+        theta_max *= 2.0
+    raise ValueError(
         f"grid argmax on the upper edge of all {ranges} theta ranges; the last was "
         f"[{float(theta_grid[0])!r}, {float(theta_grid[-1])!r}]"
     )
@@ -177,27 +194,15 @@ def grid_search_p2(
 ) -> tuple[float, float, float]:
     """Feasible-grid maximization of the single-block objective.
 
-    Theta is log-spaced up to the boundary level theta' plus margin (doubled
-    if the argmax lands on the upper edge, at most 8 ranges in all, and a
-    ValueError past the last); e_i is linear on [0, e_lim].  At zero budget
-    every cell is 0, and the first one is returned on the first range.
+    Theta is log-spaced up to the boundary level theta' plus margin, and
+    e_i is linear on [0, e_lim]; `_range_search` tries at most 8 theta ranges.
     """
-    import numpy as np
-
     budget = p.eta * p.e_avg - p.g
     theta_prime = inverse_energy(m, max(budget, 0.0) / (p.e_lim - p.e_avg) * p.e_lim)
-    theta_max = 2.0 * max(theta_prime, 2.0)
-    e_grid = np.linspace(0.0, p.e_lim, spec.e_points)
     span = p.e_lim - p.e_avg
     k1 = (p.eta * p.e_lim - p.g) / span
     rhs = budget / span * p.e_lim
-    for _ in range(8):
-        theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
-        i, j, value = _grid_argmax(theta_grid, e_grid, budget, p, m, k1, rhs)
-        if i < spec.theta_points - 1 or budget == 0.0:
-            return float(theta_grid[i]), float(e_grid[j]), value
-        theta_max *= 2.0
-    raise _upper_edge_error(theta_grid, 8)
+    return _range_search(p, m, spec, 2.0 * max(theta_prime, 2.0), 8, budget, k1, rhs)
 
 
 def grid_search_p8(
@@ -206,21 +211,10 @@ def grid_search_p8(
     """Grid maximization of the objective at unit budget over the box.
 
     Uses only the box constraints (no boundary coupling), so the result does
-    not depend on e_avg or g.  The theta range starts at 8 and doubles while
-    the argmax sits on the upper edge, at most 16 ranges in all, and a
-    ValueError past the last.
+    not depend on e_avg or g.  The theta range starts at 8, and
+    `_range_search` tries at most 16 theta ranges.
     """
-    import numpy as np
-
-    theta_max = 8.0
-    e_grid = np.linspace(0.0, p.e_lim, spec.e_points)
-    for _ in range(16):
-        theta_grid = np.geomspace(1.0 + 1e-6, theta_max, spec.theta_points)
-        i, j, value = _grid_argmax(theta_grid, e_grid, 1.0, p, m)
-        if i < spec.theta_points - 1:
-            return float(theta_grid[i]), float(e_grid[j]), value
-        theta_max *= 2.0
-    raise _upper_edge_error(theta_grid, 16)
+    return _range_search(p, m, spec, 8.0, 16, 1.0)
 
 
 def _transfer_polytope(prob: MultiBlockProblem, thetas, e_is):

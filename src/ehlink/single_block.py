@@ -24,10 +24,11 @@ or when rounding may hide its sign (`solve_case_c`).
 The case (a)/(b) pairs depend on (eta, e_lim, model) only; their memo entry
 carries E(theta) and C(e), which every cell with that key hands to
 `feasible` and `objective`, so it scores them with no model call.
-A cold key alternates from its first start to a fixed point, then scans the
-case (a) residual above it and stops when it shows no second fixed point
-(`case_ab_pairs`).  Each `CandidateSolution` carries the E(theta) it was
-scored with, and the winner's full solution reuses it.  The cold brackets
+A cold key alternates from rising starts, each skipped or stopped at or
+below the largest energy a finished start covered; after its first fixed
+point it scans the case (a) residual above it and stops when that shows no
+second fixed point (`case_ab_pairs`).  Each `CandidateSolution` carries
+the E(theta) it was scored with, and the winner's full solution reuses it.  The cold brackets
 of the M-, N- and E-roots come from one doubling search, `roots.bracket_up`.
 Without a seed every solve is cold and reproducible on its own.
 """
@@ -294,12 +295,12 @@ def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, f
     functions, so two models that merely share a name never share pairs.
     Each call returns a fresh list.
     Case (a) pairs come from alternating the unconstrained M- and N-roots to
-    a fixed point from 16 log-spaced starting energies.  The alternation map
-    e -> e*(theta*(e)) is monotone (M rises in e and falls in theta, N falls
-    in e and rises in theta), so every energy between a start and the fixed
-    point it reached flows to that same point.  A later start inside such a
-    span is skipped, and a running start stops with no pair once it enters
-    one.  Starts that fail or do not converge are discarded and cover no span.
+    a fixed point from 16 log-spaced starting energies, in rising order.  The
+    alternation map e -> e*(theta*(e)) is monotone (M rises in e and falls in
+    theta, N falls in e and rises in theta), so an energy at or below the
+    largest seed or end energy of a finished start flows to a fixed point
+    already found: a start is skipped, or stops with no pair, once its energy
+    is there.  Starts that fail or do not converge cover nothing.
     Once a start converges to (theta_fp, e_fp), the remaining starts can add a
     pair only through a second fixed point above e_fp.  F(e) > e exactly where
     phi(theta*(e)) > 0, with phi(theta) = N(e_a(theta); theta) the N residual
@@ -334,7 +335,7 @@ def _case_ab_pairs(
     # The root finders read only eta and e_lim from p.
     p = SystemParams(eta=eta, g=0.0, e_avg=0.0, e_lim=e_lim)
     pairs: list[tuple[float, float]] = []
-    resolved: list[tuple[float, float]] = []  # e-spans of finished starts
+    covered = -math.inf  # largest seed or end energy of a finished start
     theta_b = None  # theta*(e_lim): the case (b) root, and the scan's top
     for seed in _start_energies(p.e_lim):
         e = seed
@@ -342,8 +343,8 @@ def _case_ab_pairs(
         converged = False
         try:
             for _ in range(_MAX_ALTERNATIONS):
-                # e -> e*(theta*(e)) is monotone: e flows to that span's fixed point.
-                if any(lo <= e <= hi for lo, hi in resolved):
+                # e -> e*(theta*(e)) is monotone: e flows to a known fixed point.
+                if e <= covered:
                     break
                 theta_new = _theta_star(e, p, m)
                 e_new = _e_star(theta_new, p, m)
@@ -352,20 +353,20 @@ def _case_ab_pairs(
                     converged = True
                     break
                 theta, e = theta_new, e_new
-            else:  # out of alternations: no fixed point, no span
+            else:  # out of alternations: no fixed point, covers nothing
                 continue
         except SolverError:
             continue
-        resolved.append((min(seed, e), max(seed, e)))
+        covered = max(covered, seed, e)
         if converged and not any(
             abs(theta - t0) < _DEDUP_TOL and abs(e - e0) < _DEDUP_TOL for t0, e0 in pairs
         ):
             pairs.append((theta, e))
         if converged and theta_b is None:
-            # Every later start lies in (seed, e_lim]: inside this start's
-            # span, or above e, where it flows down to e unless a second
-            # fixed point lies between.  So the first fixed point at or past
-            # e_lim, or a scan that finds no second one, ends the loop.
+            # Every later start lies in (seed, e_lim]: covered, or above e,
+            # where it flows down to e unless a second fixed point lies
+            # between.  So the first fixed point at or past e_lim, or a scan
+            # that finds no second one, ends the loop.
             if e >= p.e_lim:
                 break
             theta_b = _theta_star(p.e_lim, p, m)
@@ -602,11 +603,10 @@ def recover_full(
     """
     if energy is None:
         energy = m.evaluate(theta)
-    drain = p.eta * e_i + energy
-    denom = drain - p.budget  # alpha * drain
-    # Relative to drain: with e_avg a hair below e_lim and E tiny, a valid
-    # alpha of 1e-13 has a denom below any absolute floor.
-    if denom <= 1e-14 * drain:
+    # alpha*(eta*e_i + E) = eta*e_i + E - budget, formed so that it does not
+    # cancel as e_i nears e_avg (a valid alpha near e_lim can be 1e-16).
+    denom = p.eta * (e_i - p.e_avg) + energy + p.g
+    if not denom > 0.0:
         raise InfeasibleRecoveryError(
             "eta*e_i + E(theta) must exceed the budget (alpha would leave [0, 1])"
         )
@@ -649,7 +649,8 @@ def ranked_candidates(
     here is >= 1, so each candidate's E(theta) is also the E `feasible`
     reads.  The sort is stable, so ties keep the a, b, c enumeration order
     and the first entry is the first maximizer in that order.  A row's
-    `seed` goes to `solve_case_c`.
+    `seed` goes to `solve_case_c`.  Case (b) is feasible at every finite
+    valid input, so an empty ranking is a `SolverError`.
     """
     ranked = [
         CandidateSolution(t, e, case, objective(t, e, p, m, energy=energy, c_e=c_e), energy)
@@ -659,6 +660,8 @@ def ranked_candidates(
     cand = solve_case_c(p, m, seed=seed)
     if cand is not None and feasible(cand.theta, cand.e_i, p, m, energy=cand.energy):
         ranked.append(cand)
+    if not ranked:
+        raise SolverError("no feasible candidate; internal consistency failure")
     return sorted(ranked, key=lambda c: c.objective, reverse=True)
 
 
@@ -674,11 +677,8 @@ def algorithm1(
         if seed is not None:
             seed.reset()
         return _zero_solution(p)
-    ranked = ranked_candidates(p, m, seed=seed)
-    if not ranked:
-        raise SolverError("no feasible candidate; internal consistency failure")
-    best = ranked[0]
-    if best.case_label is Case.MAX_HARVEST_POWER:  # e_e = e_lim; recover_full's can cancel
+    best = ranked_candidates(p, m, seed=seed)[0]
+    if best.case_label is Case.MAX_HARVEST_POWER:  # e_e = e_lim; recover_full's would round
         return best, _full_solution(best.theta, best.e_i, p.e_lim, best.energy, p)
     return best, recover_full(best.theta, best.e_i, p, m, energy=best.energy)
 
@@ -689,8 +689,7 @@ def constant_power_baseline(
     """No-power-optimization comparator: e_e = e_i = e_avg, theta optimized.
 
     With e_e = e_i = e_avg, alpha = 1 - budget/(eta*e_avg + E(theta)) lies in
-    [0, 1] for any theta, so no recovery check applies; `recover_full`'s
-    check would refuse a valid tiny e_avg, where E(theta) + g is near 0.
+    [0, 1] for any theta, so no recovery check applies.
     theta = max(theta*, theta0) as in `solve_lemma3`.  With a row's `seed`,
     theta* (the root of M, non-increasing with M(1) = eta*e_avg + E(1) > 0) is
     bracketed around the row's extrapolated theta* (`RowSeed._bracket_root`)

@@ -314,9 +314,13 @@ class TestSweeps:
         for ranked, expected in (([a1, a2, b], ("a", 0.25)), ([a1, a2], ("a", math.inf))):
             monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m, seed: ranked)
             assert cli._case_margins(P_MAP, None, None) == expected
-        monkeypatch.setattr(single_block, "ranked_candidates", lambda p, m, seed: [])
-        case, margin = cli._case_margins(P_MAP, None, None)
-        assert case == "invalid" and math.isnan(margin)
+        # With no feasible candidate the map cell raises, as solve-single does;
+        # it does not print the "invalid" of a cell the flags rule out.
+        monkeypatch.undo()
+        monkeypatch.setattr(single_block, "feasible", lambda *args, **kwargs: False)
+        for solve in (cli._case_margins, algorithm1):
+            with pytest.raises(single_block.SolverError, match="no feasible candidate"):
+                solve(P_MAP, theta_log_theta_model(), seed=None)
 
     def test_zero_budget_is_case_a_in_every_command(self, capsys):
         # e_avg = 0 or eta*e_avg = g leaves nothing to spend: both commands
@@ -379,6 +383,8 @@ class TestSweeps:
             (["sweep-single", "--sweep", "e_avg:1:0:0.1"],
              "e_avg sweep range is empty: stop 0.0 < start 1.0"),
             (["solve-multi", "--g-list", "0.1,x"], "--g-list entry must be a number, got 'x'"),
+            (["solve-multi", "--g-list", ""], "--g-list entry must be a number, got ''"),
+            (["solve-single", "--ed-model", "power-law:c=1,c=5"], "power-law c is given twice"),
             (["solve-single", "--ed-model", "power-law:c=1,p=x"],
              "power-law p must be a number, got 'x'"),
             (["sweep-single", "--sweep", "e_avg:0:1e308:1e-308"],

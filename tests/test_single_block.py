@@ -611,7 +611,7 @@ def _golden_model(spec: dict) -> DecoderEnergyModel:
 
 
 class TestCaseAbStarts:
-    """Starts inside an already-resolved span are skipped; nothing else moves."""
+    """Starts at or below the covered energy are skipped; nothing else moves."""
 
     def test_pairs_match_golden_bit_for_bit(self):
         # Each memo entry also carries E(theta) and C(e), exactly as
@@ -822,8 +822,8 @@ class TestConstantPowerBaseline:
         assert constant_power_baseline(p, MODEL).bits_per_use == 0.0
 
     def test_tiny_e_avg_needs_no_recovery_check(self):
-        # E(theta) + g is about 1e-300 here, below recover_full's 1e-14 guard,
-        # yet alpha = 1 - budget/(eta*e_avg + E) is a valid split.
+        # E(theta) + g is about 1e-300 here, yet alpha = 1 - budget/(eta*e_avg + E)
+        # is a valid split.
         p = SystemParams(eta=1.0, g=0.0, e_avg=1e-300, e_lim=0.5305339969787326)
         base = constant_power_baseline(p, power_law_model(1.0, 2.0))
         assert base.e_e == base.e_i == p.e_avg
@@ -1285,6 +1285,26 @@ class TestNearTheFloatRange:
         assert full.bits_per_use == pytest.approx(cand.objective, rel=1e-12)
         base = constant_power_baseline(p, model).bits_per_use
         assert full.bits_per_use >= base - 1e-12 * base
+
+    def test_split_one_ulp_below_e_lim_is_recovered(self):
+        # drain - budget leaves at most a few ulps of drain here;
+        # eta*(e_i - e_avg) + E + g is the same alpha*drain without the cancellation.
+        p = SystemParams(eta=1.0, g=0.0, e_avg=0.9999999999999999, e_lim=1.0)
+        cand, full = algorithm1(p, power_law_model(1.6e-162, 1.0))
+        assert cand.case_label is Case.MAX_INFO_POWER
+        assert 0.0 < full.alpha <= 1.0
+        average = full.alpha * full.e_e + (1.0 - full.alpha) * full.e_i
+        assert average == pytest.approx(p.e_avg, abs=1e-15)
+
+    def test_links_a_few_ulps_below_e_lim_are_never_refused(self):
+        model = power_law_model(1.6e-162, 1.0)
+        for eta in (1.0, 0.5, 0.1, 0.01):
+            for e_lim in (0.2, 1.0):
+                e_avg = e_lim
+                for _ in range(26):
+                    e_avg = math.nextafter(e_avg, 0.0)
+                    _, full = algorithm1(SystemParams(eta, 0.0, e_avg, e_lim), model)
+                    assert 0.0 <= full.alpha <= 1.0 and full.e_e <= e_lim, (eta, e_avg, e_lim)
 
     def test_split_outside_the_unit_interval_is_still_refused(self):
         with pytest.raises(InfeasibleRecoveryError):
