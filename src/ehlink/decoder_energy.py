@@ -3,11 +3,13 @@
 A model maps theta = C/(C - R) >= 1 to the decoding energy per channel use.
 Every model must be zero at theta = 1, non-decreasing, convex, and unbounded
 as theta grows, and must supply its exact derivative with its value (the
-solvers read both at each theta they visit).  A value past the float range
-is returned as inf, never raised.  Two built-ins are provided:
-theta*log2(theta), which matches iterative-decoding complexity results for
-LDPC codes, and a power-law family c*(theta-1)^p for exercising solver
-generality; the solvers take it at any c > 0 and p >= 1.
+solvers read both at each theta they visit).  The solvers take E(1) = 0 as
+given and never call a model at theta = 1, so a model must return exactly
+0.0 there.  A value past the float range is returned as inf, never raised.
+Two built-ins are provided: theta*log2(theta), which matches
+iterative-decoding complexity results for LDPC codes, and a power-law
+family c*(theta-1)^p for exercising solver generality; the solvers take it
+at any c > 0 and p >= 1.
 """
 
 from __future__ import annotations
@@ -101,16 +103,17 @@ def power_law_model(c: float = 1.0, p: float = 2.0) -> DecoderEnergyModel:
 def parse_model(spec: str) -> DecoderEnergyModel:
     """Build a model from a CLI spec string; one model object per spec.
 
-    Accepted forms: ``theta-log-theta`` or ``power-law:c=<float>,p=<float>``.
+    Accepted forms: ``theta-log-theta``, or ``power-law`` alone or with
+    ``:c=<float>,p=<float>``.
     A repeated spec returns the same (frozen) model, so solver memos keyed
     on the model carry over between calls.  Rejected specs are not cached.
     """
     spec = spec.strip()
     if spec == "theta-log-theta":
         return theta_log_theta_model()
-    if spec.startswith("power-law"):
+    name, _, args = spec.partition(":")
+    if name == "power-law":
         kwargs = {}
-        _, _, args = spec.partition(":")
         if args:
             for item in args.split(","):
                 key, _, value = item.partition("=")
@@ -152,8 +155,8 @@ def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
     def f(t: float) -> float:
         return target - model.evaluate(t)
 
-    try:
-        _, hi, _, f_hi = bracket_up(f, 1.0, 2.0)
+    try:  # f(1) = target, as E(1) = 0
+        _, hi, _, f_hi = bracket_up(f, 1.0, 2.0, target)
     except SolverError:
         raise SolverError(
             f"decoder energy model {model.name} does not reach {target:g} "
@@ -161,4 +164,4 @@ def inverse_energy(model: DecoderEnergyModel, target: float) -> float:
         ) from None
     # The bracket keeps its low end at 1, not the moved lo.  brentq's iterates
     # are odd in f, so this is also the root of E(t) - target, bit for bit.
-    return brentq(f, 1.0, hi, f(1.0), f_hi, xtol=1e-13, rtol=8.9e-16)
+    return brentq(f, 1.0, hi, target, f_hi, xtol=1e-13, rtol=8.9e-16)

@@ -31,12 +31,12 @@ def _nan_error(x: float) -> ValueError:
 
 
 def bracket_up(
-    f: Callable[[float], float], lo: float, hi: float, f_lo: float | None = None
-) -> tuple[float, float, float | None, float]:
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float
+) -> tuple[float, float, float, float]:
     """(lo, hi, f_lo, f_hi) with f(hi) <= 0: hi doubles while f(hi) is not <= 0 (NaN too).
 
-    Each failed hi becomes lo, with its value as f_lo; until then f_lo is the
-    one given, None included.  Raises SolverError once hi leaves the floats.
+    f_lo is f(lo), which the caller knows.  Each failed hi becomes lo, with
+    its value as f_lo.  Raises SolverError once hi leaves the floats.
     """
     f_hi = f(hi)
     while not f_hi <= 0.0:

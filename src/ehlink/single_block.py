@@ -18,9 +18,8 @@ A row of solves that differ only in e_avg (a region-map row, a sweep) can
 share a `RowSeed`: each cell's case (c) root, and the theta* of its
 `constant_power_baseline`, is then bracketed around a prediction from the
 previous cells (natural-parameter continuation), and matches the unseeded
-root to brentq's tolerance rather than bit for bit.  A seeded case (c)
-cell evaluates h(1) only when its bracket reaches theta = 1 or falls back,
-or when rounding may hide its sign (`solve_case_c`).
+root to brentq's tolerance rather than bit for bit.  No root function is
+evaluated at theta = 1: E(1) = 0 gives M(1), h(1) and target - E(1) there.
 The case (a)/(b) pairs depend on (eta, e_lim, model) only; their memo entry
 carries E(theta) and C(e), which every cell with that key hands to
 `feasible` and `objective`, so it scores them with no model call.
@@ -80,9 +79,6 @@ _N_STARTS = 16
 _SCAN_POINTS = 64
 # brentq's tolerances for case (c)'s root.
 _XTOL, _RTOL = 1e-12, 8.9e-16
-# capacity(e) > 0 for every e >= this: C(e), about 0.92*e here, is formed as
-# 1 - (1 - 0.92*e), which rounds to 0 only below about 2e-16.
-_E_C_POSITIVE = 1e-12
 # Distinct (eta, e_lim, model) keys kept by the case (a)/(b) memo: a 40-row
 # region map (one e_lim per row) fits with room to spare.
 _AB_CACHE_SIZE = 64
@@ -243,14 +239,12 @@ def n_function(e_i: float, theta: float, p: SystemParams, m: DecoderEnergyModel)
 def _theta_star(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Unique root of M(theta) = 0 for fixed e_i > 0."""
     f = _m_of_theta(e_i, p, m)
-    try:  # a NaN M (E past the floats) doubles on to the error
-        lo, hi, f_lo, f_hi = bracket_up(f, 1.0, 2.0)
+    try:  # M(1) = eta*e_i, as E(1) = 0; a NaN M (E past the floats) doubles on to the error
+        lo, hi, f_lo, f_hi = bracket_up(f, 1.0, 2.0, p.eta * e_i)
     except SolverError:
         raise SolverError(
             f"no M-root within the float range at e_i = {e_i:g} with model {m.name}"
         ) from None
-    if f_lo is None:
-        f_lo = f(lo)
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=8.9e-16)
 
 
@@ -453,17 +447,17 @@ class RowSeed:
     def _record(self, e_avg: float, theta: float, baseline: bool = False) -> None:
         self._cells[baseline] = (*self._cells[baseline][-1:], (e_avg, theta))
 
-    def _bracket_root(self, e_avg: float, f, f_one, baseline: bool = False) -> float | None:
+    def _bracket_root(self, e_avg: float, f, f_one: float, baseline: bool = False) -> float | None:
         """The root of a non-increasing f from a bracket around the extrapolated one.
 
         The root is predicted linearly in e_avg from the last two cells of
         theta_c (of theta* with `baseline`), with a half-width of 1/32 of
         the last move; the half-width doubles until f changes sign, finite
-        at both ends.  The low end clamps at 1, and f_one() gives f(1) only
-        when it does.  None (fall back to the cold bracket) with fewer than
-        two cells, a prediction outside (1, inf), an f that is not finite
-        (past theta' for case (c)), or a low end clamped at 1 where f(1) is
-        not positive: the cold bracket decides those.
+        at both ends.  The low end clamps at 1, where f_one is f(1).  None
+        (fall back to the cold bracket) with fewer than two cells (an empty
+        seed), a prediction outside (1, inf), an f that is not finite (past
+        theta' for case (c)), or a low end clamped at 1 where f(1) is not
+        positive: the cold bracket decides those.
         """
         cells = self._cells[baseline]
         if len(cells) < 2:
@@ -476,7 +470,7 @@ class RowSeed:
         # Floored at brentq's own tolerance, so a zero move still widens.
         width = max(abs(move) / 32.0, _XTOL + _RTOL * pred)
         lo, hi = max(1.0, pred - width), pred + width
-        f_lo = f(lo) if lo > 1.0 else f_one()
+        f_lo = f(lo) if lo > 1.0 else f_one
         if not math.isfinite(f_lo):
             return None
         if f_lo > 0.0:
@@ -490,7 +484,7 @@ class RowSeed:
             while f_lo < 0.0 and lo > 1.0:  # the root is below lo: lo becomes hi
                 width *= 2.0
                 hi, f_hi, lo = lo, f_lo, max(1.0, pred - width)
-                f_lo = f(lo) if lo > 1.0 else f_one()
+                f_lo = f(lo) if lo > 1.0 else f_one
         if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or (lo == 1.0 and not f_lo > 0.0):
             return None
         return brentq(f, lo, hi, f_lo, f_hi, xtol=_XTOL, rtol=_RTOL, maxiter=2000)
@@ -506,25 +500,23 @@ def solve_case_c(
     h(theta), positive at theta = 1 and negative at theta' (where the
     boundary meets e_i = 0), so one bracketed root find (`roots.brentq`)
     gives the optimum.
-    Returns None when no interior root exists (degenerate bracket).
+    Returns None when no interior root exists: h(1) = (e_lim - top)*C(top)
+    is not positive, with top the boundary's e_i at theta = 1 (E(1) = 0).
 
     Without a seed, the bracket is [1, theta' - gap], with theta' from
     `inverse_energy`.  With a `RowSeed` the bracket comes from the row's
     previous cells (`RowSeed._bracket_root`), and theta' is found only when
     that bracket falls back; the root then matches the cold one to brentq's
-    tolerance (about 1e-12 relative), not bit for bit.  A seeded root
-    skips h(1), which h > 0 above 1 implies, except where its bracket
-    reaches theta = 1 or rounding could make h(1) <= 0 (top rounds to
-    e_lim, or e_i < _E_C_POSITIVE, where C may round to 0); so it returns
-    None exactly where the cold path does.  As e_avg nears e_lim h's terms
-    cancel to a rounding band of relative width about
+    tolerance (about 1e-12 relative), not bit for bit.  As e_avg nears e_lim
+    h's terms cancel to a rounding band of relative width about
     eps*e_lim/(e_lim - e_avg), and the two roots may differ by that much;
     neither is the closer to the optimum.  The seed records each root
     found, and is reset when this returns None.
     """
-    if p.budget <= 0.0:
-        if seed is not None:
-            seed.reset()
+    if seed is None:
+        seed = RowSeed()
+    if p.budget <= 0.0:  # before capacity(top), which raises for top < 0
+        seed.reset()
         return None
     # On the boundary e_i = top - k*E(theta), floored at 0.
     denom = p.eta * p.e_lim - p.g
@@ -546,30 +538,21 @@ def solve_case_c(
         # q * gap can overflow against a zero C' (inf * 0): h/q has h's sign and root.
         return value if value == value else gap * c / q + gap * c_prime + c * e_prime
 
+    h_one = (e_lim - top) * capacity(top)
+    if not h_one > 0.0:
+        seed.reset()
+        return None
     # theta' solves E(theta') = target; a target past the floats is the cold
     # path's typed error, so the seeded path does not step around it.
     target = p.budget / (p.e_lim - p.e_avg) * p.e_lim
-    theta = h_one = None
-    if seed is not None and target < math.inf:
-        theta = seed._bracket_root(p.e_avg, h, lambda: h(1.0))
+    theta = seed._bracket_root(p.e_avg, h, h_one) if target < math.inf else None
     if theta is None:
-        h_one = h(1.0)
-        if not h_one <= 0.0:
-            theta = _cold_root(h, h_one, inverse_energy(m, target))
-    if theta is not None:
-        energy = m.evaluate(theta)
-        e_i = max(0.0, top - k * energy)
-        # h(1) = (e_lim - e(1)) * C(e(1)) with e_i <= e(1) <= top, as E is
-        # non-decreasing from E(1) >= 0.  So top < e_lim and e_i >=
-        # _E_C_POSITIVE show h(1) > 0; otherwise a seeded root takes h(1).
-        if h_one is not None or (top < e_lim and e_i >= _E_C_POSITIVE) or not h(1.0) <= 0.0:
-            if seed is not None:
-                seed._record(p.e_avg, theta)
-            objective_c = objective(theta, e_i, p, m, energy=energy)
-            return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective_c, energy)
-    if seed is not None:
-        seed.reset()
-    return None
+        theta = _cold_root(h, h_one, inverse_energy(m, target))
+    energy = m.evaluate(theta)
+    e_i = max(0.0, top - k * energy)
+    seed._record(p.e_avg, theta)
+    objective_c = objective(theta, e_i, p, m, energy=energy)
+    return CandidateSolution(theta, e_i, Case.MAX_HARVEST_POWER, objective_c, energy)
 
 
 def _cold_root(h, h_one: float, theta_prime: float) -> float:
@@ -691,22 +674,20 @@ def constant_power_baseline(
     With e_e = e_i = e_avg, alpha = 1 - budget/(eta*e_avg + E(theta)) lies in
     [0, 1] for any theta, so no recovery check applies.
     theta = max(theta*, theta0) as in `solve_lemma3`.  With a row's `seed`,
-    theta* (the root of M, non-increasing with M(1) = eta*e_avg + E(1) > 0) is
-    bracketed around the row's extrapolated theta* (`RowSeed._bracket_root`)
+    theta* (the root of M, non-increasing with M(1) = eta*e_avg, as E(1) = 0)
+    is bracketed around the row's extrapolated theta* (`RowSeed._bracket_root`)
     and matches the cold root to brentq's tolerance; the seed is reset at
     zero budget or zero e_avg.
     """
+    if seed is None:
+        seed = RowSeed()
     if p.budget <= 0.0 or p.e_avg == 0.0:
-        if seed is not None:
-            seed.reset()
+        seed.reset()
         return _zero_solution(p)[1]
-    theta_star = None
-    if seed is not None:
-        f = _m_of_theta(p.e_avg, p, m)
-        theta_star = seed._bracket_root(p.e_avg, f, lambda: f(1.0), baseline=True)
+    f = _m_of_theta(p.e_avg, p, m)
+    theta_star = seed._bracket_root(p.e_avg, f, p.eta * p.e_avg, baseline=True)
     if theta_star is None:
         theta_star = _theta_star(p.e_avg, p, m)
-    if seed is not None:
-        seed._record(p.e_avg, theta_star, baseline=True)
+    seed._record(p.e_avg, theta_star, baseline=True)
     theta = max(theta_star, _theta0(p.e_avg, p, m))
     return _full_solution(theta, p.e_avg, p.e_avg, m.evaluate(theta), p)

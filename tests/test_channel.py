@@ -86,6 +86,14 @@ class TestCapacity:
         cs = np.array([capacity(e) for e in es])
         assert np.all(cs >= 0.0) and np.all(cs <= 1.0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(e=st.floats(1e-12, 1e3))
+    def test_positive_from_1e_12(self, e):
+        # C(e), about 0.92*e near 0, is formed as 1 - (1 - 0.92*e), which
+        # rounds to 0 only below about 2e-16.
+        assert capacity(e) > 0.0
+        assert capacity(1e-12) > 0.0
+
     def test_concavity_on_grid(self):
         es = np.arange(0.01, 10.0, 1e-3)
         cs = np.array([capacity(e) for e in es])

@@ -183,6 +183,13 @@ class TestSolveSingle:
         assert out == ""
         assert out_file.read_text().startswith("# model=theta-log-theta\neta,")
 
+    def test_unwritable_out_is_an_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "single.csv"
+        code, out, err = run_cli(capsys, "solve-single", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert str(out_file) in err
+
 
 class TestSolveMulti:
     def test_round_trip_against_library(self, capsys):
@@ -385,6 +392,10 @@ class TestSweeps:
             (["solve-multi", "--g-list", "0.1,x"], "--g-list entry must be a number, got 'x'"),
             (["solve-multi", "--g-list", ""], "--g-list entry must be a number, got ''"),
             (["solve-single", "--ed-model", "power-law:c=1,c=5"], "power-law c is given twice"),
+            (["solve-single", "--ed-model", "power-lawfoo"],
+             "unknown decoder energy model 'power-lawfoo'"),
+            (["solve-single", "--ed-model", "power-law-x:c=2"],
+             "unknown decoder energy model 'power-law-x:c=2'"),
             (["solve-single", "--ed-model", "power-law:c=1,p=x"],
              "power-law p must be a number, got 'x'"),
             (["sweep-single", "--sweep", "e_avg:0:1e308:1e-308"],
@@ -536,6 +547,26 @@ class TestErrorHandling:
         assert (code, err) == (0, "")
         _, fields = single_row(out)
         assert (fields["case"], fields["e_lim"], fields["e_e"]) == ("c", "3", "3")
+
+    @pytest.mark.parametrize("spec", ["power-law:c=1e308,p=2", "power-law:c=1e307,p=20"])
+    def test_power_law_whose_c_times_p_overflows_solves(self, capsys, spec):
+        # E'(1) = (c*p)*0^(p-1) is inf*0 = NaN, but no solver reads E'(1): M(1),
+        # h(1) and target - E(1) come from E(1) = 0.  So these solve as
+        # power-law:c=1e307,p=2 does, at case b, theta = 1 and 0 bits.
+        def without_model(text):
+            return [line for line in text.splitlines() if "model=" not in line]
+
+        for argv in (
+            ["solve-single"],
+            ["sweep-single", "--sweep", "e_avg:0.5:1:0.25"],
+            ["solve-multi", "--g-list", "0.1,0.2"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--ed-model", spec)
+            assert (code, err) == (0, ""), argv
+            ref = run_cli(capsys, *argv, "--ed-model", "power-law:c=1e307,p=2")[1]
+            assert without_model(out) == without_model(ref), argv
+        _, fields = single_row(run_cli(capsys, "solve-single", "--ed-model", spec)[1])
+        assert (fields["case"], fields["theta"], fields["bits_per_use"]) == ("b", "1", "0")
 
     def test_no_m_root_in_the_float_range_names_the_model(self, capsys, monkeypatch):
         # E' = 0 keeps M = eta*e_i + E(theta) > 0 at every float theta, so

@@ -224,21 +224,21 @@ class TestBracketUp:
         r, hi = 10.0**log_r, 10.0**log_hi
         lo = hi * 10.0**log_lo_share
         f = _falling(family, r, 10.0**log_k, r * (1.0 + cut_share))
-        assert bracket_up(f, lo, hi) == _theta_star_loop(f, lo, hi)
+        # _theta_star's loop left f_lo None until lo moved, and took f(lo) after.
+        a, b, f_a, f_b = _theta_star_loop(f, lo, hi)
+        assert bracket_up(f, lo, hi, f(lo)) == (a, b, f(lo) if f_a is None else f_a, f_b)
         assert bracket_up(f, lo, hi, f(lo)) == _e_star_loop(f, lo, hi)
-        _, b, _, f_b = bracket_up(f, lo, hi)
+        _, b, _, f_b = bracket_up(f, lo, hi, f(lo))
         assert (b, -f_b) == _inverse_energy_loop(lambda x: -f(x), hi)
 
     def test_f_lo_stays_given_until_lo_moves(self):
         f = lambda x: 3.0 - x  # noqa: E731
-        assert bracket_up(f, 1.0, 4.0) == (1.0, 4.0, None, -1.0)
         assert bracket_up(f, 1.0, 4.0, 2.0) == (1.0, 4.0, 2.0, -1.0)
-        assert bracket_up(f, 1.0, 2.0) == (2.0, 4.0, 1.0, -1.0)
         assert bracket_up(f, 1.0, 2.0, 2.0) == (2.0, 4.0, 1.0, -1.0)
 
     def test_nan_doubles_on(self):
         f = lambda x: math.nan if x < 10.0 else -1.0  # noqa: E731
-        lo, hi, f_lo, f_hi = bracket_up(f, 1.0, 2.0)
+        lo, hi, f_lo, f_hi = bracket_up(f, 1.0, 2.0, math.nan)
         assert (lo, hi, f_hi) == (8.0, 16.0, -1.0)
         assert math.isnan(f_lo)
 
@@ -247,7 +247,7 @@ class TestBracketUp:
         # the floats: 1023 values, all in this process.
         seen = []
         with pytest.raises(SolverError, match="within the float range"):
-            bracket_up(lambda x: seen.append(x) or 1.0, 1.0, 2.0)
+            bracket_up(lambda x: seen.append(x) or 1.0, 1.0, 2.0, 1.0)
         assert seen == [2.0**i for i in range(1, 1024)]
 
 

@@ -962,8 +962,8 @@ def _same_root(seeded_theta, seeded_value, theta, value, p):
     ) <= value * max(1e-12, band / (theta - 1.0))
 
 
-def _counted_model():
-    """theta log theta with its calls counted, and among them those at theta = 1."""
+def _counted_model(base=MODEL):
+    """base (theta log theta by default) with its calls counted, and those at theta = 1."""
     calls = {"evaluate": 0, "evaluate_pair": 0, "at_one": 0}
 
     def counted(name, fn):
@@ -975,9 +975,9 @@ def _counted_model():
         return call
 
     model = DecoderEnergyModel(
-        MODEL.name,
-        counted("evaluate", MODEL.evaluate),
-        counted("evaluate_pair", MODEL.evaluate_pair),
+        base.name,
+        counted("evaluate", base.evaluate),
+        counted("evaluate_pair", base.evaluate_pair),
     )
     return calls, model
 
@@ -1056,12 +1056,13 @@ class TestRowSeed:
     def test_seeded_row_makes_fewer_model_calls(self):
         # A 40-cell row, solved whole by `algorithm1` (30 cells won by case
         # (a), 10 by case (c)) and by `solve_case_c` alone.  Cold, each cell
-        # finds theta' (about 8.7 evaluate calls) and brackets h on
-        # [1, theta' - gap] (about 11 evaluate_pair calls, h(1) among them);
-        # every cell also takes E(theta_c) once, for its e_i and objective.
-        # Seeded, all but the first two cells bracket h around the
-        # extrapolated root (about 5.9 evaluate_pair calls), with no h(1) and
-        # no theta'.  The key's case (a)/(b) pairs are solved beforehand.
+        # finds theta' (about 7.7 evaluate calls) and brackets h on
+        # [1, theta' - gap] (about 10 evaluate_pair calls); every cell also
+        # takes E(theta_c) once, for its e_i and objective.  Seeded, all but
+        # the first two cells bracket h around the extrapolated root (about
+        # 5.9 evaluate_pair calls), with no theta'.  No cell calls the model
+        # at theta = 1: h(1) = (e_lim - top)*C(top), as E(1) = 0.  The key's
+        # case (a)/(b) pairs are solved beforehand.
         # The winner's feasibility check and full solution reuse the E of its
         # memo entry or of `solve_case_c`, so a whole cell asks the model
         # nothing more than its case (c) solve does.
@@ -1075,17 +1076,17 @@ class TestRowSeed:
                     p = SystemParams(eta=0.5, g=0.0, e_avg=0.1 + 0.07 * i, e_lim=3.0)
                     assert solve(p, model, seed=seed) is not None
                 counts[seeded] = dict(calls)
-            assert counts[False] == {"evaluate": 387, "evaluate_pair": 446, "at_one": 80}
-            assert counts[True] == {"evaluate": 56, "evaluate_pair": 245, "at_one": 4}
+            assert counts[False] == {"evaluate": 347, "evaluate_pair": 406, "at_one": 0}
+            assert counts[True] == {"evaluate": 54, "evaluate_pair": 243, "at_one": 0}
             assert sum(counts[True].values()) < sum(counts[False].values())
 
     def test_seeded_baseline_makes_fewer_model_calls(self):
         # The baselines of a 49-point sweep-single row.  Cold, each point
-        # finds M(2) <= 0, takes M(1) and brackets M on [1, 2] (11 M values,
-        # each one evaluate_pair call); seeded, all but the first two points
-        # bracket M around the extrapolated theta* (5.5 M values), with no
-        # M(1).  theta0 is 1 (its target is -g = 0), so E is taken once per
-        # point, for the solution.
+        # finds M(2) <= 0 and brackets M on [1, 2] (10 M values, each one
+        # evaluate_pair call); seeded, all but the first two points bracket
+        # M around the extrapolated theta* (5.5 M values).  Neither calls
+        # the model for M(1) = eta*e_avg, as E(1) = 0.  theta0 is 1 (its
+        # target is -g = 0), so E is taken once per point, for the solution.
         calls, model = _counted_model()
         counts = {}
         for seeded, seed in ((False, None), (True, single_block.RowSeed())):
@@ -1094,12 +1095,13 @@ class TestRowSeed:
                 p = SystemParams(eta=0.5, g=0.0, e_avg=0.05 + 0.05 * i, e_lim=3.0)
                 assert constant_power_baseline(p, model, seed=seed).bits_per_use > 0.0
             counts[seeded] = dict(calls)
-        assert counts[False] == {"evaluate": 49, "evaluate_pair": 539, "at_one": 49}
-        assert counts[True] == {"evaluate": 49, "evaluate_pair": 280, "at_one": 2}
+        assert counts[False] == {"evaluate": 49, "evaluate_pair": 490, "at_one": 0}
+        assert counts[True] == {"evaluate": 49, "evaluate_pair": 278, "at_one": 0}
 
     def test_case_c_bracket_clamped_at_one_takes_h_of_one(self):
         # A seed predicting theta_c = 1.1 with a half-width of 0.2: the
-        # bracket's low end clamps at 1, where h(1) is taken once.
+        # bracket's low end clamps at 1, where h(1) comes from E(1) = 0, not
+        # from a model call.
         p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
         cold = solve_case_c(p, MODEL)
         seed = single_block.RowSeed()
@@ -1107,14 +1109,14 @@ class TestRowSeed:
         seed._record(p.e_avg - 1.0, 1.1 + 6.4)
         calls, model = _counted_model()
         seeded = solve_case_c(p, model, seed=seed)
-        assert calls["at_one"] == 1
+        assert calls["at_one"] == 0
         assert calls["evaluate"] == 1  # no theta': the seeded bracket held
         assert _same_candidate(seeded, cold, p)
 
     def test_baseline_bracket_widened_to_one_takes_m_of_one(self):
         # A seed predicting theta* = 3 with a half-width of 1.25: M(1.75) < 0,
         # and the first widening clamps the low end at 1, where M(1) is
-        # eta*e_avg.
+        # eta*e_avg, taken with no model call.
         p = SystemParams(eta=0.5, g=0.0, e_avg=1.0, e_lim=3.0)
         cold = constant_power_baseline(p, MODEL)
         seed = single_block.RowSeed()
@@ -1123,7 +1125,7 @@ class TestRowSeed:
         calls, model = _counted_model()
         seeded = constant_power_baseline(p, model, seed=seed)
         assert m_function(1.0, p.e_avg, p, MODEL) == p.eta * p.e_avg
-        assert calls["at_one"] == 1
+        assert calls["at_one"] == 0
         assert _same_root(seeded.theta, seeded.bits_per_use, cold.theta, cold.bits_per_use, p)
 
     @pytest.mark.parametrize(
@@ -1149,14 +1151,6 @@ class TestRowSeed:
             outcomes.append(seeded is None)
         assert outcomes == [False, False, True]
         assert seed._cells == [(), ()]
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(e=st.floats(single_block._E_C_POSITIVE, 1e3))
-    def test_capacity_is_positive_where_h_of_one_is_skipped(self, e):
-        # A seeded root with e_i >= _E_C_POSITIVE skips h(1) = gap*C(e(1)),
-        # e(1) >= e_i, on this premise.  C rounds to 0 up to about 2e-16.
-        assert capacity(e) > 0.0
-        assert capacity(single_block._E_C_POSITIVE) > 0.0
 
     def test_zero_budget_cell_resets_both_roots(self):
         # sweep-single's row (algorithm1, then the baseline, on one seed)
@@ -1214,6 +1208,42 @@ class TestRowSeed:
         )
         assert solve_case_c(p, MODEL, seed=seed) == cold
         assert len(found) == 1
+
+
+# Power laws whose c*p overflows: E'(1) = (c*p)*0^(p-1) is inf*0 = NaN.
+OVERFLOWING = st.builds(power_law_model, st.floats(1e308, sys.float_info.max), st.floats(2.0, 10.0))
+
+
+class TestNoModelCallAtOne:
+    """E(1) = 0 gives M(1) = eta*e_i, h(1) = (e_lim - top)*C(top) and
+    target - E(1) = target, so no solver calls the model at theta = 1."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(model=st.one_of(st.just(MODEL), SCALES, OVERFLOWING, KINKED))
+    def test_every_model_is_zero_at_one(self, model):
+        assert model.evaluate(1.0) == 0.0
+        assert model.evaluate_pair(1.0)[0] == 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=edge_params(), base=st.one_of(FAMILIES, KINKED))
+    def test_no_solver_calls_the_model_at_one(self, p, base):
+        # Cold and along a seeded row that ends at p, as sweep-single solves
+        # one: algorithm1, then the baseline, on one seed.  The one call at
+        # theta = 1 left is a baseline's E for its own solution, where its
+        # theta* rounds to 1 (eta*e_avg below about 1e-25); its M(1) is
+        # still not taken from the model.
+        calls, model = _counted_model(base)
+        seed, solved_at_one = single_block.RowSeed(), 0
+        for share in (0.6, 0.8, 1.0):
+            cell = SystemParams(eta=p.eta, g=p.g * share, e_avg=p.e_avg * share, e_lim=p.e_lim)
+            for row in (None, seed):
+                _typed(algorithm1, cell, model, seed=row)
+                full = _typed(constant_power_baseline, cell, model, seed=row)
+                solved = cell.budget > 0.0 and cell.e_avg > 0.0  # else the zero solution
+                solved_at_one += solved and getattr(full, "theta", None) == 1.0
+        _typed(solve_p8, p, model)
+        _typed(inverse_energy, model, p.e_lim)
+        assert calls["at_one"] == solved_at_one
 
 
 class TestNearTheFloatRange:
