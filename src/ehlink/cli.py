@@ -226,7 +226,6 @@ def cmd_region_map(args) -> int:
 
     def classify(e_lim: float, e_avg: float, seed):
         if not e_avg < e_lim or args.eta * e_avg < args.g:
-            seed.reset()
             return e_lim, e_avg, "invalid", math.nan
         p = _params(args, e_avg=e_avg, e_lim=e_lim)
         return e_lim, e_avg, *_case_margins(p, model, seed)

@@ -18,13 +18,15 @@ A row of solves that differ only in e_avg (a region-map row, a sweep) can
 share a `RowSeed`: each cell's case (c) root, and the theta* of its
 `constant_power_baseline`, is then bracketed around a prediction from the
 previous cells (natural-parameter continuation), and matches the unseeded
-root to brentq's tolerance rather than bit for bit.  No root function is
-evaluated at theta = 1: E(1) = 0 gives M(1), h(1) and target - E(1) there.
+root to brentq's tolerance rather than bit for bit; the seed only records
+roots.  No root function is evaluated at theta = 1: E(1) = 0 gives M(1),
+h(1) and target - E(1) there.
 The case (a)/(b) pairs depend on (eta, e_lim, model) only; their memo entry
 carries E(theta) and C(e), which every cell with that key hands to
 `feasible` and `objective`, so it scores them with no model call.
 A cold key alternates from rising starts, each skipped or stopped at or
-below the largest energy a finished start covered; after its first fixed
+below the largest energy a finished start covered, and ended at a fixed
+point or at a move against its last one (rounding); after its first fixed
 point it scans the case (a) residual above it and stops when that shows no
 second fixed point (`case_ab_pairs`).  Each `CandidateSolution` carries
 the E(theta) it was scored with, and the winner's full solution reuses it.  The cold brackets
@@ -248,17 +250,13 @@ def _theta_star(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     return brentq(f, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=8.9e-16)
 
 
-def _theta0(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
-    span = p.e_lim - p.e_avg
-    target = max(0.0, (p.budget * p.e_lim - (p.eta * p.e_lim - p.g) * e_i) / span)
-    return inverse_energy(m, target)
-
-
 def solve_lemma3(e_i: float, p: SystemParams, m: DecoderEnergyModel) -> float:
     """Constrained optimizer of theta for fixed e_i > 0: max(theta*, theta0)."""
     if not e_i > 0:
         raise ValueError("solve_lemma3 requires e_i > 0")
-    return max(_theta_star(e_i, p, m), _theta0(e_i, p, m))
+    # theta0 solves E(theta0) = the coupled constraint's floor on E at e_i.
+    target = max(0.0, (p.budget * p.e_lim - (p.eta * p.e_lim - p.g) * e_i) / (p.e_lim - p.e_avg))
+    return max(_theta_star(e_i, p, m), inverse_energy(m, target))
 
 
 def _e_star(theta: float, p: SystemParams, m: DecoderEnergyModel) -> float:
@@ -294,7 +292,10 @@ def case_ab_pairs(p: SystemParams, m: DecoderEnergyModel) -> list[tuple[float, f
     theta, N falls in e and rises in theta), so an energy at or below the
     largest seed or end energy of a finished start flows to a fixed point
     already found: a start is skipped, or stops with no pair, once its energy
-    is there.  Starts that fail or do not converge cover nothing.
+    is there.  So a start's iterates move one way, and a move against the
+    last one is rounding (N's terms cancel at large theta*): the start ends
+    there, at its last iterate.  Starts that fail or do not converge cover
+    nothing.
     Once a start converges to (theta_fp, e_fp), the remaining starts can add a
     pair only through a second fixed point above e_fp.  F(e) > e exactly where
     phi(theta*(e)) > 0, with phi(theta) = N(e_a(theta); theta) the N residual
@@ -335,6 +336,7 @@ def _case_ab_pairs(
         e = seed
         theta = math.inf
         converged = False
+        step = 0.0  # the last move e_new - e
         try:
             for _ in range(_MAX_ALTERNATIONS):
                 # e -> e*(theta*(e)) is monotone: e flows to a known fixed point.
@@ -342,11 +344,14 @@ def _case_ab_pairs(
                     break
                 theta_new = _theta_star(e, p, m)
                 e_new = _e_star(theta_new, p, m)
-                if abs(theta_new - theta) < _FIXED_POINT_TOL and abs(e_new - e) < _FIXED_POINT_TOL:
+                # A monotone F moves e one way; a move back is rounding.
+                if (
+                    abs(theta_new - theta) < _FIXED_POINT_TOL and abs(e_new - e) < _FIXED_POINT_TOL
+                ) or (e_new - e) * step < 0.0:
                     theta, e = theta_new, e_new
                     converged = True
                     break
-                theta, e = theta_new, e_new
+                theta, e, step = theta_new, e_new, e_new - e
             else:  # out of alternations: no fixed point, covers nothing
                 continue
         except SolverError:
@@ -432,16 +437,13 @@ class RowSeed:
     (c)'s theta_c, which `solve_case_c` reads and records, and the theta*
     of `constant_power_baseline` (M(theta; e_avg) = 0).  The row's case
     (a)/(b) pairs need no place here: their memo entry carries E and C, so
-    a cell scores them with no model call.  `reset` forgets both roots, as
-    after a cell with zero budget or no case (c) root.
+    a cell scores them with no model call.  A cell with zero budget or no
+    case (c) root records nothing.
     """
 
     __slots__ = ("_cells",)
 
     def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
         self._cells = [(), ()]  # theta_c's cells, then the baseline's theta*
 
     def _record(self, e_avg: float, theta: float, baseline: bool = False) -> None:
@@ -510,13 +512,9 @@ def solve_case_c(
     tolerance (about 1e-12 relative), not bit for bit.  As e_avg nears e_lim
     h's terms cancel to a rounding band of relative width about
     eps*e_lim/(e_lim - e_avg), and the two roots may differ by that much;
-    neither is the closer to the optimum.  The seed records each root
-    found, and is reset when this returns None.
+    neither is the closer to the optimum.  The seed records each root found.
     """
-    if seed is None:
-        seed = RowSeed()
     if p.budget <= 0.0:  # before capacity(top), which raises for top < 0
-        seed.reset()
         return None
     # On the boundary e_i = top - k*E(theta), floored at 0.
     denom = p.eta * p.e_lim - p.g
@@ -540,8 +538,9 @@ def solve_case_c(
 
     h_one = (e_lim - top) * capacity(top)
     if not h_one > 0.0:
-        seed.reset()
         return None
+    if seed is None:
+        seed = RowSeed()
     # theta' solves E(theta') = target; a target past the floats is the cold
     # path's typed error, so the seeded path does not step around it.
     target = p.budget / (p.e_lim - p.e_avg) * p.e_lim
@@ -654,11 +653,9 @@ def algorithm1(
     """Globally optimal single-block solution.
 
     Takes the top-ranked feasible candidate and recovers its full solution.
-    A row's `seed` goes to `solve_case_c`, and is reset at zero budget.
+    A row's `seed` goes to `solve_case_c`.
     """
     if p.budget <= 0.0:
-        if seed is not None:
-            seed.reset()
         return _zero_solution(p)
     best = ranked_candidates(p, m, seed=seed)[0]
     if best.case_label is Case.MAX_HARVEST_POWER:  # e_e = e_lim; recover_full's would round
@@ -673,21 +670,20 @@ def constant_power_baseline(
 
     With e_e = e_i = e_avg, alpha = 1 - budget/(eta*e_avg + E(theta)) lies in
     [0, 1] for any theta, so no recovery check applies.
-    theta = max(theta*, theta0) as in `solve_lemma3`.  With a row's `seed`,
-    theta* (the root of M, non-increasing with M(1) = eta*e_avg, as E(1) = 0)
-    is bracketed around the row's extrapolated theta* (`RowSeed._bracket_root`)
-    and matches the cold root to brentq's tolerance; the seed is reset at
-    zero budget or zero e_avg.
+    theta is theta*, the root of M(theta; e_avg): at e_i = e_e = e_avg the
+    coupled constraint reads E(theta) >= -g, which g >= 0 meets everywhere,
+    so `solve_lemma3`'s theta0 floor is 1.  With a row's `seed`, theta*
+    (M is non-increasing with M(1) = eta*e_avg, as E(1) = 0) is bracketed
+    around the row's extrapolated theta* (`RowSeed._bracket_root`) and
+    matches the cold root to brentq's tolerance.
     """
+    if p.budget <= 0.0 or p.e_avg == 0.0:
+        return _zero_solution(p)[1]
     if seed is None:
         seed = RowSeed()
-    if p.budget <= 0.0 or p.e_avg == 0.0:
-        seed.reset()
-        return _zero_solution(p)[1]
     f = _m_of_theta(p.e_avg, p, m)
-    theta_star = seed._bracket_root(p.e_avg, f, p.eta * p.e_avg, baseline=True)
-    if theta_star is None:
-        theta_star = _theta_star(p.e_avg, p, m)
-    seed._record(p.e_avg, theta_star, baseline=True)
-    theta = max(theta_star, _theta0(p.e_avg, p, m))
+    theta = seed._bracket_root(p.e_avg, f, p.eta * p.e_avg, baseline=True)
+    if theta is None:
+        theta = _theta_star(p.e_avg, p, m)
+    seed._record(p.e_avg, theta, baseline=True)
     return _full_solution(theta, p.e_avg, p.e_avg, m.evaluate(theta), p)

@@ -91,6 +91,19 @@ class TestSolveSingle:
         assert meta == {"model": "power-law:c=1,p=2"}
         assert len(fields) == 11 and fields["case"] in ("a", "b", "c")
 
+    def test_small_scale_power_law_finds_case_a(self, capsys):
+        # theta* is about 7e6, where the N-root jitters between alternations
+        # by more than the 1e-9 fixed-point tolerance.  Every case (a) start
+        # ran out of alternations and was dropped, and case (c) won with
+        # 9.18447898477e-08 bits.
+        code, out, err = run_cli(
+            capsys, "solve-single", "--ed-model", "power-law:c=4.83e-27,p=1.78",
+            "--eta", "0.538", "--e-lim", "40.9", "--e-avg", "1e-7",
+        )
+        assert (code, err) == (0, "")
+        _, fields = single_row(out)
+        assert (fields["case"], fields["bits_per_use"]) == ("a", "9.18447911855e-08")
+
     def test_crossover_underflow_near_peak(self, capsys):
         # e_i near 1000 makes the crossover probability underflow to 0, where
         # the capacity derivative reads 0 instead of failing on log2(0).
