@@ -8,11 +8,13 @@ each block then looks like a single-block problem with overhead g_i + T_i.
 The per-block objective scale factor (the normalized objective, which is the
 single-block `objective` at unit budget) admits a block-independent
 maximizer (theta_dot, e_dot), which yields a closed-form upper bound and the
-suffix-sum achievability condition.  The general case alternates per-block
-single-block solves with an exact LP over the transfers (`lp_step`), which
-HiGHS solves through scipy's bundled binding.  The first LP loads that
-binding's one extension module from its file, and no scipy package; importing
-this module loads neither scipy nor numpy.
+suffix-sum achievability condition.  Where every g_i is at or above g_dot, no
+block needs a transfer and one pass of per-block solves reaches the bound.
+The general case alternates per-block single-block solves with an exact LP
+over the transfers (`lp_step`), which HiGHS solves through scipy's bundled
+binding.  The first LP loads numpy and that binding's one extension module
+from its file, and no scipy package; importing this module, or solving a
+problem that needs no transfer, loads neither scipy nor numpy.
 
 Each `lp_step` runs its chain of LPs (`_chain`) on one new HiGHS instance
 with the options scipy's ``linprog(method="highs")`` passes; nothing is held
@@ -291,20 +293,21 @@ def theorem2_condition(prob: MultiBlockProblem, gdot: float | None = None) -> bo
 def construct_schedule(prob: MultiBlockProblem, gdot: float | None = None) -> tuple[float, ...]:
     """Constructive transfer schedule achieving the upper bound.
 
-    T_1 = max(0, g_dot - g_1); T_i = max(-prefix, g_dot - g_i) afterwards.
-    Requires the suffix-sum condition; the result sums to zero and keeps
-    every block's overhead-plus-transfer at or above g_dot.
+    T_i = max(-prefix, g_dot - g_i) for every block, prefix being the sum of
+    the transfers before block i.  Requires the suffix-sum condition; the
+    result sums to zero and keeps every block's overhead-plus-transfer at or
+    above g_dot.  A block that needs no transfer gets -0.0 (the prefix is
+    then +0.0), the zero the transfer LP returns; with g_dot = -inf every
+    block does.
     """
     if gdot is None:
         gdot = g_dot(prob.params, prob.model)
     if not theorem2_condition(prob, gdot):
         raise ScheduleConditionError("suffix-sum condition not met")
-    if gdot == -math.inf:
-        return (0.0,) * prob.n_blocks
     transfers: list[float] = []
     prefix = 0.0
-    for i, g in enumerate(prob.g_list):
-        t = float(max(0.0, gdot - g) if i == 0 else max(-prefix, gdot - g))
+    for g in prob.g_list:
+        t = float(max(-prefix, gdot - g))
         transfers.append(t)
         prefix += t
     return tuple(transfers)
@@ -379,9 +382,12 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     """Alternating per-block solves and transfer LPs; local optimum.
 
     Initialized from the constructive schedule when the suffix-sum condition
-    holds (the first pass is then already optimal), otherwise from zeros.
-    The objective is non-decreasing across steps; convergence is declared on
-    an improvement below 1e-9; no convergence within _MAX_ITERATIONS passes
+    holds, otherwise from zeros.  Where that schedule is all zeros (every
+    g_i >= g_dot, or g_dot = -inf), every block solves where (theta_dot,
+    e_dot) is feasible, so the first pass reaches the bound, which no
+    schedule beats; it is returned with no transfer LP.  Otherwise the
+    objective is non-decreasing across steps; convergence is declared on an
+    improvement below 1e-9; no convergence within _MAX_ITERATIONS passes
     raises `SolverError`.  An infeasible transfer LP raises
     `LpInfeasibleError`.  Blocks that share an overhead g_i + T_i, within a
     pass or across passes, share one `algorithm1` solve.
@@ -392,6 +398,7 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     bound = upper_bound(prob)
     condition = theorem2_condition(prob, gdot)
     transfers = construct_schedule(prob, gdot) if condition else (0.0,) * n
+    no_transfer = condition and not any(transfers)
 
     # One algorithm1 solve per distinct overhead.  The key holds the sign as
     # well as the value, so that 0.0 and -0.0 stay apart.
@@ -417,7 +424,7 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
             total += cand.objective
         if total < prev_total - 1e-9:
             raise SolverError("objective decreased across iterations")
-        if total - prev_total < _CONVERGENCE_TOL:
+        if no_transfer or total - prev_total < _CONVERGENCE_TOL:
             break
         prev_total = total
         thetas = [cand.theta for cand, _ in blocks]

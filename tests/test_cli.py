@@ -239,6 +239,21 @@ class TestSolveMulti:
         rows = [ln for ln in out.strip().splitlines() if not ln.startswith("#")][1:]
         assert [r.split(",")[1] for r in rows] == ["0.2", "0", "0.3"]
 
+    def test_no_transfer_needed_where_the_lp_was_infeasible(self, capsys):
+        # Every g_i sits at or above g_dot (about 0.0099982247), with budgets
+        # near 1e-7: HiGHS called the transfer LP on the first pass's pairs
+        # infeasible, and the command exited 2.  No block needs a transfer,
+        # so no LP runs and the first pass reaches the bound.
+        code, out, err = run_cli(
+            capsys, "solve-multi", "--eta", "0.001", "--e-avg", "9.998311053912493",
+            "--e-lim", "10", "--ed-model", "power-law:c=1,p=5", "--g-list",
+            "0.009998224707236913,0.009998267880574703,0.009998267880574703,0.009998267880574703",
+        )
+        assert (code, err) == (0, "")
+        assert "# achieved=True" in out
+        rows = [ln for ln in out.splitlines() if not ln.startswith("#")][1:]
+        assert [r.split(",")[2] for r in rows] == ["-0"] * 4
+
     def test_g_list_length_mismatch_is_an_error(self, capsys):
         code, _, err = run_cli(
             capsys, "solve-multi", "--g-list", "0.1,0.2", "--blocks", "3"
@@ -501,6 +516,24 @@ assert "scipy.optimize" not in sys.modules and "scipy.special" not in sys.module
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_solve_multi_without_a_transfer_loads_no_numpy(self):
+        # The README's example: g_dot is about -0.005, so every block is at
+        # or above it and no transfer LP runs.
+        code = """
+import contextlib, io, sys
+import ehlink.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["solve-multi", "--eta", "1.0", "--e-avg", "2.0", "--e-lim", "4.0",
+                     "--g-list", "0.2,0.0,0.3,0.1"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("scipy"))
+assert not loaded, loaded
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_import_loads_no_scipy(self):
         # The LP imports scipy's HiGHS binding on its first call, so importing
         # the CLI or the multi-block planner loads neither scipy nor numpy.
@@ -634,10 +667,11 @@ class TestErrorHandling:
         assert err == f"error: {flag} must be >= {minimum}, got {value}\n"
 
     def test_e_lim_past_the_lp_matrix_limit_is_named(self, capsys):
-        # The boundary row's coefficient -(e_lim - e_i) reaches HiGHS's
-        # large_matrix_value (1e15), so HiGHS would refuse the LP unsolved.
+        # Both blocks sit below g_dot, so the transfer LP runs.  Its boundary
+        # row's coefficient -(e_lim - e_i) reaches HiGHS's large_matrix_value
+        # (1e15), so HiGHS would refuse the LP unsolved.
         code, out, err = run_cli(
-            capsys, "solve-multi", "--eta", "1", "--e-avg", "1", "--e-lim", "1e16",
+            capsys, "solve-multi", "--eta", "1", "--e-avg", "5", "--e-lim", "1e16",
             "--g-list", "0.1,0.5",
         )
         assert code == 2
@@ -649,7 +683,17 @@ class TestErrorHandling:
 
     def test_e_lim_below_the_lp_matrix_limit_solves(self, capsys):
         code, out, err = run_cli(
-            capsys, "solve-multi", "--eta", "1", "--e-avg", "1", "--e-lim", "1e14",
+            capsys, "solve-multi", "--eta", "1", "--e-avg", "5", "--e-lim", "1e14",
+            "--g-list", "0.1,0.5",
+        )
+        assert (code, err) == (0, "")
+        assert "# achieved=False" in out
+
+    def test_e_lim_past_the_lp_matrix_limit_solves_without_a_transfer(self, capsys):
+        # g_dot is about -1.66 here, so no block needs a transfer and no LP
+        # runs: the matrix limit does not apply.
+        code, out, err = run_cli(
+            capsys, "solve-multi", "--eta", "1", "--e-avg", "1", "--e-lim", "1e16",
             "--g-list", "0.1,0.5",
         )
         assert (code, err) == (0, "")
