@@ -39,20 +39,11 @@ def crossover(e_i):
 def capacity(e_i):
     """BSC capacity 1 - H2(crossover(e_i)) in bits per channel use.
 
-    Returns 0 at e_i = 0 (crossover 1/2) and tends to 1 as e_i grows.  The
-    0*log(0) convention is applied, so the limit crossover -> 0 is exact.
-    The crossover is computed here, with the floats `crossover` gives; an
-    input outside [0, inf) goes through `crossover` for its error.
+    Returns 0 at e_i = 0 (crossover 1/2) and tends to 1 as e_i grows.  For
+    e_i > 0 this is the first float of `capacity_pair`, so one formula gives
+    C everywhere; an input outside [0, inf) raises what `crossover` raises.
     """
-    if not 0.0 <= e_i < math.inf:
-        crossover(e_i)  # raises for e_i < 0, inf and NaN
-    eps = 0.5 * math.erfc(math.sqrt(2.0 * e_i) / _SQRT2)
-    if eps <= 0.0:
-        return 1.0
-    if eps >= 0.5:
-        return 0.0
-    c = 1.0 + (eps * math.log2(eps) + (1.0 - eps) * math.log2(1.0 - eps))
-    return 0.0 if c < 0.0 else (1.0 if c > 1.0 else c)  # c clipped to [0, 1]
+    return 0.0 if e_i == 0.0 else capacity_pair(e_i)[0]
 
 
 def capacity_pair(e_i):
@@ -61,9 +52,10 @@ def capacity_pair(e_i):
     C' = [log2(1-eps) - log2(eps)] * exp(-e_i) / (sqrt(4*pi) * sqrt(e_i)).
     That formula is singular at e_i = 0, which is rejected; the solvers never
     need the derivative there.  Once eps underflows to 0 (e_i above about
-    745) the true C' is below 1e-300, and 0.0 is returned.  Both floats are
-    the ones `capacity` and that formula give, and an input outside (0, inf)
-    raises what they raise.
+    745) the true C' is below 1e-300, and 0.0 is returned.  C is
+    1 + eps*log2(eps) + (1-eps)*log2(1-eps), with the 0*log(0) convention
+    (exact as eps -> 0) and clipped to [0, 1].  An input outside [0, inf)
+    raises what `crossover` raises, and e_i = 0 a ValueError.
     """
     if not 0.0 < e_i < math.inf:
         crossover(e_i)  # raises for e_i < 0, inf and NaN

@@ -12,9 +12,10 @@ suffix-sum achievability condition.  Where every g_i is at or above g_dot, no
 block needs a transfer and one pass of per-block solves reaches the bound.
 The general case alternates per-block single-block solves with an exact LP
 over the transfers (`lp_step`), which HiGHS solves through scipy's bundled
-binding.  The first LP loads numpy and that binding's one extension module
-from its file, and no scipy package; importing this module, or solving a
-problem that needs no transfer, loads neither scipy nor numpy.
+binding, and ends with the last pass that kept the bank and the bound.  The
+first LP loads numpy and that binding's one extension module from its file,
+and no scipy package; importing this module, or solving a problem that needs
+no transfer, loads neither scipy nor numpy.
 
 Each `lp_step` runs its chain of LPs (`_chain`) on one new HiGHS instance
 with the options scipy's ``linprog(method="highs")`` passes; nothing is held
@@ -35,6 +36,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from itertools import accumulate
 
 from .decoder_energy import DecoderEnergyModel
 from .single_block import (
@@ -42,8 +44,8 @@ from .single_block import (
     FullSolution,
     SolverError,
     SystemParams,
+    _case_ab_pairs,
     algorithm1,
-    case_ab_pairs,
     objective,
 )
 
@@ -63,7 +65,6 @@ __all__ = [
     "threshold_u",
 ]
 
-_BOUND_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-9
 _MAX_ITERATIONS = 200
 
@@ -244,11 +245,13 @@ def solve_p8(p: SystemParams, m: DecoderEnergyModel) -> tuple[float, float]:
     apply because the box has no coupled constraint.  Independent of e_avg
     and g, since the unit-budget objective reads neither.
     """
-    # Interior stationary pairs outside the box are not P8-feasible; the box
-    # optimum is then on the e_i = e_lim edge, which case (b) supplies.
-    in_box = [pair for pair in case_ab_pairs(p, m) if pair[1] <= p.e_lim + 1e-9]
-    best = max(in_box, key=lambda pair: objective(pair[0], pair[1], p, m, budget=1.0))
-    return best[0], best[1]
+    # Pairs outside the box are not P8-feasible (case (b) supplies its e_lim
+    # edge); memo entries carry the E(theta) and C(e) `objective` would take.
+    theta_dot, e_dot, *_ = max(
+        (entry for entry in _case_ab_pairs(p.eta, p.e_lim, m) if entry[1] <= p.e_lim + 1e-9),
+        key=lambda t: objective(t[0], t[1], p, m, budget=1.0, energy=t[3], c_e=t[4]),
+    )
+    return theta_dot, e_dot
 
 
 def g_dot(p: SystemParams, m: DecoderEnergyModel) -> float:
@@ -385,12 +388,14 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
     holds, otherwise from zeros.  Where that schedule is all zeros (every
     g_i >= g_dot, or g_dot = -inf), every block solves where (theta_dot,
     e_dot) is feasible, so the first pass reaches the bound, which no
-    schedule beats; it is returned with no transfer LP.  Otherwise the
-    objective is non-decreasing across steps; convergence is declared on an
-    improvement below 1e-9; no convergence within _MAX_ITERATIONS passes
-    raises `SolverError`.  An infeasible transfer LP raises
-    `LpInfeasibleError`.  Blocks that share an overhead g_i + T_i, within a
-    pass or across passes, share one `algorithm1` solve.
+    schedule beats; it is returned with no transfer LP.  Otherwise passes
+    and LP steps alternate until a pass gains less than 1e-9.  On small
+    budgets HiGHS's absolute tolerances can make an LP pass lose more than
+    1e-9, end above bound * (1 + 1e-9), or overdraw (a transfer prefix sum
+    below -1e-9 * sum_i (eta*e_avg - g_i)); the pass before it is returned.
+    Raises `SolverError` after _MAX_ITERATIONS passes, and what `lp_step`
+    raises.  Blocks sharing an overhead g_i + T_i, within a pass or across
+    passes, share one `algorithm1` solve.
     """
     p, m = prob.params, prob.model
     n = prob.n_blocks
@@ -410,9 +415,7 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
             solved[key] = algorithm1(replace(p, g=g), m)
         return solved[key]
 
-    prev_total = -math.inf
-    blocks: list[tuple] = []
-    total = 0.0
+    kept = None  # (blocks, transfers, total) of the last pass that held
     for _ in range(_MAX_ITERATIONS):
         # Block i solves with overhead g_i + T_i, clamped against roundoff
         # past the zero-budget point; it may be negative.
@@ -422,11 +425,16 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
         total = 0.0
         for cand, _ in blocks:
             total += cand.objective
-        if total < prev_total - 1e-9:
-            raise SolverError("objective decreased across iterations")
-        if no_transfer or total - prev_total < _CONVERGENCE_TOL:
+        if kept is not None and (
+            total < kept[2] - 1e-9
+            or total > bound * (1.0 + 1e-9)
+            or min(accumulate(transfers)) < -1e-9 * sum(p.eta * p.e_avg - g for g in prob.g_list)
+        ):
+            blocks, transfers, total = kept
             break
-        prev_total = total
+        if no_transfer or (kept is not None and total - kept[2] < _CONVERGENCE_TOL):
+            break
+        kept = (blocks, transfers, total)
         thetas = [cand.theta for cand, _ in blocks]
         e_is = [cand.e_i for cand, _ in blocks]
         transfers = lp_step(prob, thetas, e_is)
@@ -439,7 +447,7 @@ def iterative_solver(prob: MultiBlockProblem) -> MultiBlockSolution:
         transfers=transfers,
         total_bits_per_use=total,
         bound=bound,
-        bound_achieved=abs(total - bound) <= _BOUND_TOL,
+        bound_achieved=abs(total - bound) <= 1e-9 * bound,
     )
 
 

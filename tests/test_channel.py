@@ -214,3 +214,15 @@ class TestCapacityPair:
             capacity_pair(-1.0)
         with pytest.raises(ValueError, match="finite"):
             capacity_pair(math.nan)
+
+    def test_capacity_at_the_edges(self):
+        # Over ENERGIES, test_matches_the_two_calls_bit_for_bit already holds
+        # capacity(e_i) to capacity_pair(e_i)[0], bit for bit.
+        for e_i in (5e-324, 800.0):
+            assert capacity(e_i).hex() == capacity_pair(e_i)[0].hex()
+        assert capacity(0.0).hex() == capacity(-0.0).hex() == "0x0.0p+0"
+        with pytest.raises(ValueError, match="^energy per channel use must be >= 0$"):
+            capacity(-1.0)
+        for e_i in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^q_function requires finite input$"):
+                capacity(e_i)
